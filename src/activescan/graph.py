@@ -6,6 +6,7 @@ import logging
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -138,53 +139,57 @@ def degree_stat(g: Graph, v: int) -> int:
     return int(g._deg[v])
 
 
+def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
+    """Rows of the closed k-th order neighborhood incidence matrix R_k.
+
+    Row i of the returned len(vertices) x n 0/1 CSR matrix marks
+    N_k[vertices[i]] on the undirected view, centre included, with sorted
+    column indices. The rows grow from the identity rows by k frontier
+    expansions r <- r @ A_und + r, so only the requested rows are ever
+    materialised.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
+        raise ValueError(f"vertex out of range [0, {g.n})")
+    rows = sp.identity(g.n, dtype=np.int64, format="csr")[vertices]
+    und = sp.csr_matrix(
+        (np.ones(g._und_dst.size, dtype=np.int64), g._und_dst, g._und_off),
+        shape=(g.n, g.n))
+    for _ in range(k):
+        rows = rows @ und + rows
+        rows.data.fill(1)
+    rows.sort_indices()
+    return rows
+
+
 def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:
     """Closed k-th order neighborhood of v on the undirected view.
 
-    Breadth-first expansion ignoring edge orientation; always contains v.
-    Returned sorted.
+    Distances ignore edge orientation; always contains v. Returned sorted.
     """
     g._check_vertex(v)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return np.array([v], dtype=np.int64)
-    if k == 1:
-        nb = g.neighbors(v)
-        return np.insert(nb, np.searchsorted(nb, v), v)
-    visited = np.zeros(g.n, dtype=bool)
-    visited[v] = True
-    frontier = np.array([v], dtype=np.int64)
-    layers = [frontier]
-    for _ in range(k):
-        if frontier.size == 0:
-            break
-        nxt = np.unique(np.concatenate([g.neighbors(int(u)) for u in frontier]))
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        layers.append(nxt)
-        frontier = nxt
-    return np.sort(np.concatenate(layers))
+    return closed_neighborhood_rows(g, [v], k).indices.astype(np.int64)
 
 
 def induced_edge_count(g: Graph, s) -> int:
     """Number of directed edges with both endpoints in s.
 
-    Scans the incident-edge lists of the members and tests both endpoints
-    for membership; every inside edge is seen from both of its endpoints,
-    so halving the tally is exact.
+    Gathers the out-edges of the members in one pass and counts those
+    whose target is a member; each inside edge has exactly one source, so
+    it is counted once.
     """
     s = np.asarray(list(s) if not isinstance(s, np.ndarray) else s, dtype=np.int64)
-    if s.size == 0:
-        return 0
     s = np.unique(s)  # set semantics even if the caller passed repeats
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True
-    total = 0
-    for u in s:
-        total += int(mask[g.out_neighbors(u)].sum())
-        total += int(mask[g.in_neighbors(u)].sum())
-    return total // 2
+    lo = g._out_off[s]
+    lens = g._out_off[s + 1] - lo
+    # gather slot p of member r maps to CSR index p + lo[r] - (slots before r)
+    shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    dst = g._out_dst[shift + np.arange(int(lens.sum()))]
+    return int(mask[dst].sum())
 
 
 def _iter_lines(source):
@@ -261,7 +266,12 @@ def write_binary(g: Graph, path) -> None:
 
 
 def read_binary(path) -> Graph:
-    """Read a graph written by write_binary."""
+    """Read a graph written by write_binary.
+
+    Rejects, with the offending row or index, any file that breaks what
+    the format promises: offsets from 0 to m without decreasing, targets
+    in [0, n) and strictly increasing within each row, no self-loops.
+    """
     buf = np.fromfile(path, dtype=_BIN_DTYPE)
     if buf.size < 2:
         raise ValueError("truncated binary graph file")
@@ -270,5 +280,22 @@ def read_binary(path) -> Graph:
         raise ValueError("binary graph file has inconsistent sizes")
     offsets = buf[2:2 + n + 1].astype(np.int64)
     targets = buf[2 + n + 1:].astype(np.int64)
+    if offsets[0] != 0 or offsets[n] != m:
+        raise ValueError(f"out_offsets must run from 0 to m={m}, got out_offsets[0] = "
+                         f"{offsets[0]} and out_offsets[{n}] = {offsets[n]}")
+    bad = np.flatnonzero(np.diff(offsets) < 0)
+    if bad.size:
+        raise ValueError(f"out_offsets decrease at row {bad[0]}")
+    bad = np.flatnonzero((targets < 0) | (targets >= n))
+    if bad.size:
+        raise ValueError(f"out_targets[{bad[0]}] = {targets[bad[0]]} "
+                         f"is out of range [0, {n})")
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    bad = np.flatnonzero((src[1:] == src[:-1]) & (targets[1:] <= targets[:-1]))
+    if bad.size:
+        raise ValueError(f"row {src[bad[0]]} is not strictly increasing "
+                         f"at out_targets[{bad[0] + 1}]")
+    bad = np.flatnonzero(src == targets)
+    if bad.size:
+        raise ValueError(f"row {src[bad[0]]} has a self-loop at out_targets[{bad[0]}]")
     return Graph.from_edges(n, src, targets)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, degree_stat, induced_edge_count, neighborhood
+from .graph import (Graph, closed_neighborhood_rows, degree_stat,
+                    induced_edge_count, neighborhood)
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ def local_stat(g: Graph, v: int, marker: VertexMarker | None = None) -> Locality
 
 def psi_k(g: Graph, v: int, k: int) -> LocalityScore:
     """Locality statistic of order k: edges induced by neighborhood(v, k)."""
-    g._check_vertex(v)
-    if k < 0:
-        raise ValueError("k must be non-negative")
     if k == 0:
         return LocalityScore(vertex=v, k=0, value=degree_stat(g, v))
     value = induced_edge_count(g, neighborhood(g, v, k))
@@ -108,24 +106,15 @@ def est_lstat2(g: Graph, v: int) -> int:
 def psi_all(g: Graph, k: int) -> np.ndarray:
     """Locality statistic of order k for every vertex (full-sweep evaluation).
 
-    Batch formulation over sparse boolean reachability: row v of M marks
-    N_k[v], and (M @ A) * M sums the directed edges with both endpoints
+    Batch formulation over the closed-neighborhood rows: row v of R_k marks
+    N_k[v], and (R_k @ A) * R_k sums the directed edges with both endpoints
     marked. Used by the benchmark harness, where every vertex is scored.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     if k == 0:
         return g.degrees().copy()
     n = g.n
+    reach = closed_neighborhood_rows(g, np.arange(n), k)
     adj = sp.csr_matrix(
         (np.ones(g.m, dtype=np.int64), g._out_dst, g._out_off), shape=(n, n))
-    und = sp.csr_matrix(
-        (np.ones(g._und_dst.size, dtype=np.int64), g._und_dst, g._und_off),
-        shape=(n, n))
-    reach = und + sp.identity(n, dtype=np.int64, format="csr")
-    reach = (reach > 0).astype(np.int64)
-    for _ in range(k - 1):
-        reach = reach @ und + reach
-        reach = (reach > 0).astype(np.int64)
     inside = (reach @ adj).multiply(reach)
     return np.asarray(inside.sum(axis=1)).ravel().astype(np.int64)

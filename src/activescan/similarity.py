@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, neighborhood
+from .graph import Graph, closed_neighborhood_rows, neighborhood
 
-# Cached neighborhood entries allowed per block; large enough that typical
-# selections are processed in a single block.
+# Neighborhood entries allowed in the row blocks of one product; large
+# enough that typical selections are processed in a single block.
 DEFAULT_CACHE_ENTRIES = 50_000_000
 
 
@@ -35,34 +35,22 @@ def jaccard(g: Graph, vi: int, vj: int, k: int = 1) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if vi == vj:
-        g._check_vertex(vi)
-        return 1.0
     a = neighborhood(g, vi, k)
     b = neighborhood(g, vj, k)
     inter = np.intersect1d(a, b, assume_unique=True).size
     return inter / (a.size + b.size - inter)
 
 
-def _pair_fill(values, hoods_i, hoods_j, rows, cols):
-    for ii, a in zip(rows, hoods_i):
-        for jj, b in zip(cols, hoods_j):
-            if jj <= ii:
-                continue
-            inter = np.intersect1d(a, b, assume_unique=True).size
-            s = inter / (a.size + b.size - inter)
-            values[ii, jj] = s
-            values[jj, ii] = s
-
-
 def build_similarity_matrix(g: Graph, selected, k: int = 1, *,
                             max_cached_entries: int = DEFAULT_CACHE_ENTRIES) -> SimilarityMatrix:
     """All pairwise Jaccard values between the selected vertices.
 
-    Neighborhoods are materialized once per vertex and reused across the
-    row. If the total materialized size would exceed max_cached_entries,
-    rows are processed in blocks and neighborhoods recomputed per block
-    pair, trading time for a bounded footprint.
+    With R = R_k[S], the closed-neighborhood rows of the selection, the
+    intersection sizes are the one sparse product R R^T and the union
+    sizes follow from the row lengths. max_cached_entries bounds the
+    neighborhood entries that the row blocks of one product hold: when R
+    has more entries, it is cut into row blocks of at most half the bound
+    and the product is formed block pair by block pair.
     """
     verts = np.asarray(list(selected) if not isinstance(selected, np.ndarray)
                        else selected, dtype=np.int64)
@@ -72,28 +60,23 @@ def build_similarity_matrix(g: Graph, selected, k: int = 1, *,
         raise ValueError("selected vertices must be distinct")
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = verts.size
-    values = np.eye(q)
-
-    sizes = np.array([neighborhood(g, int(v), k).size for v in verts], dtype=np.int64)
-    if int(sizes.sum()) <= max_cached_entries:
-        blocks = [np.arange(q)]
-    else:
+    rows = closed_neighborhood_rows(g, verts, k)
+    sizes = np.diff(rows.indptr)
+    starts = [0]
+    if rows.nnz > max_cached_entries:
         half = max(1, max_cached_entries // 2)
-        blocks, start, acc = [], 0, 0
-        for i in range(q):
-            if acc + sizes[i] > half and i > start:
-                blocks.append(np.arange(start, i))
-                start, acc = i, 0
-            acc += sizes[i]
-        blocks.append(np.arange(start, q))
-
-    for bi_idx, bi in enumerate(blocks):
-        hoods_i = [neighborhood(g, int(verts[i]), k) for i in bi]
-        _pair_fill(values, hoods_i, hoods_i, bi, bi)
-        for bj in blocks[bi_idx + 1:]:
-            hoods_j = [neighborhood(g, int(verts[j]), k) for j in bj]
-            _pair_fill(values, hoods_i, hoods_j, bi, bj)
+        for i in range(1, verts.size):
+            if rows.indptr[i + 1] - rows.indptr[starts[-1]] > half:
+                starts.append(i)
+    blocks = list(zip(starts, starts[1:] + [verts.size]))
+    values = np.empty((verts.size, verts.size))
+    for a, b in blocks:
+        for c, d in blocks:
+            inter = (rows[a:b] @ rows[c:d].T).toarray()
+            union = sizes[a:b, None] + sizes[None, c:d]
+            union -= inter
+            np.divide(inter, union, out=values[a:b, c:d])
+    np.fill_diagonal(values, 1.0)
     return SimilarityMatrix(vertices=verts, values=values)
 
 

@@ -46,7 +46,8 @@ def triangles_graph(n: int) -> tuple[Graph, np.ndarray, np.ndarray]:
     return Graph.from_edges(n, src, dst), src, dst
 
 
-def preferential_attachment(n: int, attach: int = 3, seed: int = 7) -> Graph:
+def pa_graph(n: int, attach: int = 3,
+             seed: int = 7) -> tuple[Graph, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     src, dst = [], []
     pool = [0]  # endpoint pool repeats vertices once per incident edge
@@ -59,7 +60,39 @@ def preferential_attachment(n: int, attach: int = 3, seed: int = 7) -> Graph:
             dst.append(u)
             pool.append(u)
         pool.append(v)
-    return Graph.from_edges(n, np.array(src), np.array(dst))
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    return Graph.from_edges(n, src, dst), src, dst
+
+
+def preferential_attachment(n: int, attach: int = 3, seed: int = 7) -> Graph:
+    return pa_graph(n, attach, seed)[0]
+
+
+def star_graph(n: int) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """Hub 0 linked both ways to every leaf."""
+    leaves = np.arange(1, n)
+    hub = np.zeros(n - 1, dtype=np.int64)
+    src = np.concatenate([hub, leaves])
+    dst = np.concatenate([leaves, hub])
+    return Graph.from_edges(n, src, dst), src, dst
+
+
+def hub_er_graph(n: int, p: float, seed: int) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """Star on hub 0 plus Erdos-Renyi edges, without repeated edges."""
+    _, star_src, star_dst = star_graph(n)
+    _, er_src, er_dst = er_graph(n, p, seed)
+    pairs = sorted(set(zip(np.concatenate([star_src, er_src]).tolist(),
+                           np.concatenate([star_dst, er_dst]).tolist())))
+    src, dst = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    return Graph.from_edges(n, src, dst), src, dst
+
+
+# hub-heavy graph families: a star, a hub over ER, a small PA graph
+HUB_FAMILIES = {
+    "star": lambda: star_graph(30),
+    "hub_er": lambda: hub_er_graph(60, 0.04, 21),
+    "pa": lambda: pa_graph(120, 2, 3),
+}
 
 
 # ---------------------------------------------------------------------------

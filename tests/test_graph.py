@@ -7,7 +7,8 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         read_binary, write_binary, write_edge_list)
-from _testutil import count_edges_within, er_graph, tri_graph
+from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
+                       tri_graph, undirected_adj)
 
 
 def test_load_three_cycle():
@@ -90,6 +91,15 @@ def test_neighborhood_monotone_in_k(seed):
             prev = cur
 
 
+@pytest.mark.parametrize("family", HUB_FAMILIES)
+def test_neighborhood_matches_set_bfs_on_hub_graphs(family):
+    g, src, dst = HUB_FAMILIES[family]()
+    adj = undirected_adj(g.n, src, dst)
+    for v in range(g.n):
+        for k in (1, 2, 3):
+            assert neighborhood(g, v, k).tolist() == sorted(bfs_set(adj, v, k))
+
+
 def test_induced_edge_count_cases():
     g = tri_graph()
     assert induced_edge_count(g, [0, 1, 2]) == 3
@@ -152,6 +162,22 @@ def test_binary_roundtrip_and_layout(tmp_path):
     assert (n, m) == (g.n, g.m)
     assert len(raw) == 8 * (2 + n + 1 + m)
     assert read_binary(path) == g
+
+
+@pytest.mark.parametrize("offsets,targets,match", [
+    ([0, 2, 2, 2], [1, 1], r"row 0 is not strictly increasing"),
+    ([0, 2, 1, 2], [1, 2], r"decrease at row 1"),
+    ([1, 1, 2, 2], [1, 2], r"out_offsets\[0\] = 1 "),
+    ([0, 1, 1, 1], [1, 2], r"out_offsets\[3\] = 1$"),
+    ([0, 1, 2, 2], [1, 3], r"out_targets\[1\] = 3"),
+    ([0, 1, 2, 2], [1, 1], r"row 1 has a self-loop"),
+], ids=["repeated-target", "non-monotone-offsets", "bad-first-offset",
+        "bad-last-offset", "target-out-of-range", "self-loop"])
+def test_read_binary_rejects_broken_layout(tmp_path, offsets, targets, match):
+    path = tmp_path / "bad.bin"
+    np.array([3, 2, *offsets, *targets], dtype="<u8").tofile(path)
+    with pytest.raises(ValueError, match=match):
+        read_binary(path)
 
 
 def test_from_edges_rejects_out_of_range():

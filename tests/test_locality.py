@@ -3,7 +3,7 @@ import pytest
 
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
-from _testutil import er_graph, psi_oracle, tri_graph
+from _testutil import HUB_FAMILIES, er_graph, psi_oracle, tri_graph
 
 
 def out_star(leaves: int) -> Graph:
@@ -42,6 +42,17 @@ def test_psi_matches_raw_edge_oracle(k):
     g, src, dst = er_graph(60, 0.1, 11)
     for v in range(g.n):
         assert psi_k(g, v, k).value == psi_oracle(g.n, src, dst, v, k)
+
+
+@pytest.mark.parametrize("family", HUB_FAMILIES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_psi_matches_raw_edge_oracle_on_hub_graphs(family, k):
+    g, src, dst = HUB_FAMILIES[family]()
+    sweep = psi_all(g, k)
+    for v in range(g.n):
+        want = psi_oracle(g.n, src, dst, v, k)
+        assert psi_k(g, v, k).value == want
+        assert sweep[v] == want
 
 
 @pytest.mark.parametrize("k", [1, 2])

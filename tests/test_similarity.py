@@ -4,7 +4,7 @@ import pytest
 from activescan import (Graph, build_similarity_matrix, generate_sbm, jaccard,
                         paper_params, psi_all, read_similarity_csv,
                         write_similarity_csv)
-from _testutil import er_graph, jaccard_oracle, tri_graph
+from _testutil import HUB_FAMILIES, er_graph, jaccard_oracle, tri_graph
 
 
 def test_jaccard_identity():
@@ -87,6 +87,28 @@ def test_blocked_computation_matches_unblocked():
     sel = list(range(0, 90, 3))
     full = build_similarity_matrix(g, sel)
     blocked = build_similarity_matrix(g, sel, max_cached_entries=40)
+    assert np.array_equal(full.values, blocked.values)
+
+
+@pytest.mark.parametrize("family", HUB_FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matrix_equals_pairwise_jaccard_on_hub_graphs(family, k):
+    g, src, dst = HUB_FAMILIES[family]()
+    sel = list(range(0, g.n, g.n // 30))
+    s = build_similarity_matrix(g, sel, k)
+    for i in range(len(sel)):
+        for j in range(i, len(sel)):
+            assert s.values[i, j] == jaccard(g, sel[i], sel[j], k)
+    for i, j in [(0, 1), (1, 2), (2, len(sel) - 1)]:
+        assert s.values[i, j] == jaccard_oracle(g.n, src, dst, sel[i], sel[j], k)
+
+
+@pytest.mark.parametrize("family", HUB_FAMILIES)
+def test_blocked_matches_unblocked_on_hub_graphs_k2(family):
+    g, _, _ = HUB_FAMILIES[family]()
+    sel = list(range(0, g.n, g.n // 30))
+    full = build_similarity_matrix(g, sel, 2)
+    blocked = build_similarity_matrix(g, sel, 2, max_cached_entries=40)
     assert np.array_equal(full.values, blocked.values)
 
 
