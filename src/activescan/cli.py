@@ -2,7 +2,10 @@
 
 Option precedence is flags > --config file > defaults. All randomness
 flows from --seed; per-stage seeds are derived by labeled hashing.
-ACTIVE_SCAN_THREADS supplies the default worker count.
+ACTIVE_SCAN_THREADS (a positive integer) supplies the default of
+--workers, which sizes eval's Monte-Carlo process pool; topq, detect and
+bench-trim accept it but always search in one thread, with identical
+results for any value.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .spectral import (auto_sigma, classical_mds, eigengap_floor_applied,
                        estimate_num_clusters, model_selection_affinity,
                        normalized_affinity_spectrum, rbf_affinity,
                        spectral_cluster)
-from .trimming import topQ_lstat_parallel, write_trim_report
+from .trimming import topQ_lstat_parallel, topQ_sweep, write_trim_report
 
 
 @dataclass
@@ -56,12 +59,16 @@ class PipelineConfig:
 
 def _default_workers() -> int:
     env = os.environ.get("ACTIVE_SCAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"ACTIVE_SCAN_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -120,22 +127,6 @@ DETECT_DEFAULTS = dict(input=None, out="out", k=1, q=2000, similarity_k=None,
                        workers=None, seed=0, emit_similarity=False)
 
 
-def _full_sweep_topq(g, q, k):
-    from .locality import psi_all
-    from .trimming import TopQResult
-    if not 1 <= q <= g.n:
-        raise ValueError(f"Q must be in [1, {g.n}], got {q}")
-    scores = psi_all(g, k)
-    order = np.lexsort((np.arange(g.n), -scores))
-    boundary = int(scores[order[q - 1]])
-    end = q
-    while end < g.n and scores[order[end]] == boundary:
-        end += 1
-    entries = [(int(v), int(scores[v])) for v in order[:end]]
-    return TopQResult(entries=entries, computed_count=g.n,
-                      est1_count=0, est2_count=0)
-
-
 def _cmd_detect(args) -> int:
     cfg_map = _merge_config(args, DETECT_DEFAULTS)
     if cfg_map["workers"] is None:
@@ -155,10 +146,8 @@ def _cmd_detect(args) -> int:
     g = load_edge_list(in_path)
     if cfg.k == 1:
         result = topQ_lstat_parallel(g, cfg.q, cfg.workers)
-    else:
-        # the trimming search is an order-1 algorithm; other orders rank
-        # by a full sweep
-        result = _full_sweep_topq(g, cfg.q, cfg.k)
+    else:  # the bound-driven search is order-1 only
+        result = topQ_sweep(g, cfg.q, cfg.k)
     _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg.k}"],
                [(v, val) for v, val in result.entries])
 

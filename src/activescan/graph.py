@@ -153,7 +153,9 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
         raise ValueError("k must be non-negative")
     if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
         raise ValueError(f"vertex out of range [0, {g.n})")
-    rows = sp.identity(g.n, dtype=np.int64, format="csr")[vertices]
+    rows = sp.csr_matrix(
+        (np.ones(vertices.size, dtype=np.int64), vertices,
+         np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
     und = sp.csr_matrix(
         (np.ones(g._und_dst.size, dtype=np.int64), g._und_dst, g._und_off),
         shape=(g.n, g.n))

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph
-from .locality import VertexMarker, _local_stat_value, est_lstat1, est_lstat2
-
-DEFAULT_CHUNK_SIZE = 1024
+from .locality import (VertexMarker, _local_stat_value, est_lstat1, est_lstat2,
+                       psi_all)
 
 
 @dataclass
@@ -70,9 +67,8 @@ class TopQResult:
 class _Bounds:
     """Lazy per-vertex caches for both upper bounds.
 
-    A slot of -1 means not yet evaluated; evaluation counts are derived
-    from the caches afterwards, so concurrent duplicate evaluations (which
-    write the same value) cannot skew them.
+    A slot of -1 means not yet evaluated; the evaluation counts are the
+    filled slots, so each vertex counts once however many passes reach it.
     """
 
     __slots__ = ("g", "_b1", "_b2")
@@ -156,17 +152,25 @@ def top_lstat(g: Graph, candidates, floor: int = 0) -> dict[int, int]:
     return _scan(g, ordered, floor, _Bounds(g), VertexMarker(g.n), None)
 
 
-def _make_entries(known: dict[int, int], q: int) -> list[tuple[int, int]]:
-    items = sorted(known.items(), key=lambda kv: (-kv[1], kv[0]))
-    boundary = items[q - 1][1]
-    end = q
-    while end < len(items) and items[end][1] == boundary:
-        end += 1
-    return items[:end]
+def _make_entries(vertices, values, q: int) -> list[tuple[int, int]]:
+    """(vertex, value) pairs by value descending, ids ascending within ties,
+    cut after the last vertex tied with the Q-th value."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    order = np.lexsort((vertices, -values))
+    ranked = values[order]
+    # ranked descends, so the ties of the Q-th value directly follow it
+    end = q + int(np.count_nonzero(ranked[q:] == ranked[q - 1]))
+    return list(zip(vertices[order[:end]].tolist(), ranked[:end].tolist()))
 
 
-def _search(g, q, scan_pass, trace=None):
-    """Two-stage driver shared by the serial and parallel searches.
+def _check_q(g: Graph, q: int) -> None:
+    if not 1 <= q <= g.n:
+        raise ValueError(f"Q must be in [1, {g.n}], got {q}")
+
+
+def _search(g, q, bounds, marker, trace):
+    """Two-stage driver of the top-Q search.
 
     Stage 1 accumulates at least Q exact values by repeated scans with a
     zero floor. Stage 2 rescans the remaining vertices with the floor set
@@ -175,8 +179,7 @@ def _search(g, q, scan_pass, trace=None):
     so every still-pending vertex has a bound strictly below the final
     Q-th value.
     """
-    if not 1 <= q <= g.n:
-        raise ValueError(f"Q must be in [1, {g.n}], got {q}")
+    _check_q(g, q)
     state = TrimState()
     state.pending = _degree_desc_order(g, np.arange(g.n, dtype=np.int64)).tolist()
 
@@ -187,13 +190,13 @@ def _search(g, q, scan_pass, trace=None):
             state.curr_max = max(state.curr_max, max(computed.values()))
 
     while len(state.known) < q and state.pending:
-        computed = scan_pass(state.pending, 0)
+        computed = _scan(g, state.pending, 0, bounds, marker, trace)
         absorb(computed)
         if not computed:
             break  # unreachable with floor 0; guards against a stalled loop
     while state.pending:
         kth = state.qth_value(q)
-        computed = scan_pass(state.pending, kth)
+        computed = _scan(g, state.pending, kth, bounds, marker, trace)
         absorb(computed)
         if not computed or max(computed.values()) <= kth:
             break
@@ -209,203 +212,47 @@ def topQ_lstat(g: Graph, q: int, *, _trace: dict | None = None,
     """
     t0 = time.perf_counter()
     bounds = _Bounds(g)
-    marker = VertexMarker(g.n)
-
-    def scan_pass(pending, floor):
-        return _scan(g, pending, floor, bounds, marker, _trace)
-
-    state = _search(g, q, scan_pass, _trace)
+    state = _search(g, q, bounds, VertexMarker(g.n), _trace)
     if _state_out is not None:
         _state_out.append(state)
     e1, e2 = bounds.counts()
+    known = state.known
     return TopQResult(
-        entries=_make_entries(state.known, q),
-        computed_count=len(state.known),
+        entries=_make_entries(list(known), list(known.values()), q),
+        computed_count=len(known),
         est1_count=e1,
         est2_count=e2,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
-class _MaxCell:
-    """Shared monotone maximum.
+def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1) -> TopQResult:
+    """topQ_lstat under the CLI's --workers setting.
 
-    Readers take the value without locking (a stale read only causes extra
-    exact computations, never wrong results); writers re-check under the
-    lock after an unsynchronized pre-check.
-    """
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self, value: int):
-        self.value = value
-        self._lock = threading.Lock()
-
-    def offer(self, val: int) -> None:
-        if val > self.value:
-            with self._lock:
-                if val > self.value:
-                    self.value = val
-
-
-class _ChunkJob:
-    """Exact computation of one heavy vertex, split over neighborhood parts."""
-
-    __slots__ = ("v", "n1", "remaining", "partial", "lock")
-
-    def __init__(self, v: int, n1: np.ndarray, parts: int):
-        self.v = v
-        self.n1 = n1
-        self.remaining = parts
-        self.partial = 0
-        self.lock = threading.Lock()
-
-    def add(self, count: int) -> int | None:
-        """Fold one part in; returns the final statistic on the last part."""
-        with self.lock:
-            self.partial += count
-            self.remaining -= 1
-            if self.remaining == 0:
-                return self.partial // 2
-        return None
-
-
-def _chunk_count(g: Graph, n1: np.ndarray, members: np.ndarray) -> int:
-    """Incident-edge endpoints of `members` lying in the sorted set n1."""
-    chunks = []
-    for u in members.tolist():
-        chunks.append(g.out_neighbors(u))
-        chunks.append(g.in_neighbors(u))
-    idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    if idx.size == 0:
-        return 0
-    pos = np.searchsorted(n1, idx)
-    pos[pos >= n1.size] = n1.size - 1
-    return int((n1[pos] == idx).sum())
-
-
-def _parallel_scan(g, pending, floor, bounds, workers, chunk_size,
-                   exact_counts):
-    """One pruning pass executed by a pool of work-stealing workers.
-
-    Vertices are dealt round-robin so each worker's local queue stays
-    degree-descending; an idle worker steals from the tail of another
-    queue. Vertices whose neighborhood exceeds chunk_size are subdivided
-    into part-tasks that are themselves stealable.
-    """
-    queues = [deque(pending[w::workers]) for w in range(workers)]
-    cell = _MaxCell(floor)
-    results: list[dict[int, int]] = [{} for _ in range(workers)]
-    errors: list[BaseException] = []
-    flight = {"count": 0}
-    flight_lock = threading.Lock()
-
-    def take(w):
-        try:
-            return queues[w].popleft()
-        except IndexError:
-            pass
-        for off in range(1, workers):
-            try:
-                return queues[(w + off) % workers].pop()
-            except IndexError:
-                continue
-        return None
-
-    def run_vertex(w, v, marker):
-        if bounds.bound1(v) < cell.value:
-            return
-        if bounds.bound2(v) < cell.value:
-            return
-        nb = g.neighbors(v)
-        if nb.size + 1 <= chunk_size:
-            val = _local_stat_value(g, v, marker)
-            results[w][v] = val
-            exact_counts[w] += 1
-            cell.offer(val)
-            return
-        n1 = np.insert(nb, np.searchsorted(nb, v), v)
-        parts = range(0, n1.size, chunk_size)
-        job = _ChunkJob(v, n1, len(parts))
-        for lo in parts:
-            queues[w].append((job, lo, min(lo + chunk_size, n1.size)))
-
-    def run_chunk(w, job, lo, hi):
-        final = job.add(_chunk_count(g, job.n1, job.n1[lo:hi]))
-        if final is not None:
-            results[w][job.v] = final
-            exact_counts[w] += 1
-            cell.offer(final)
-
-    def worker(w):
-        marker = VertexMarker(g.n)
-        while True:
-            if errors:
-                return
-            task = take(w)
-            if task is None:
-                with flight_lock:
-                    if flight["count"] == 0 and all(not qd for qd in queues):
-                        return
-                time.sleep(0)
-                continue
-            with flight_lock:
-                flight["count"] += 1
-            try:
-                if isinstance(task, tuple):
-                    run_chunk(w, *task)
-                else:
-                    run_vertex(w, task, marker)
-            except BaseException as exc:
-                errors.append(exc)
-                return
-            finally:
-                with flight_lock:
-                    flight["count"] -= 1
-
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    merged: dict[int, int] = {}
-    for r in results:
-        merged.update(r)
-    return merged
-
-
-def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1, *,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> TopQResult:
-    """Parallel top-Q search; the value multiset matches topQ_lstat exactly.
-
-    computed_count may differ between runs: workers read the shared running
-    maximum without synchronization, and a stale read only means the exact
-    statistic is computed on slightly more vertices.
+    The search runs in one thread for every worker count: Python threads
+    share the interpreter lock, and on measurement a threaded search was
+    slower than the serial one. Results, counters included, are therefore
+    identical for any `workers`; worker_exact_counts holds the one count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1:
-        return topQ_lstat(g, q)
+    result = topQ_lstat(g, q)
+    result.worker_exact_counts = [result.computed_count]
+    return result
+
+
+def topQ_sweep(g: Graph, q: int, k: int) -> TopQResult:
+    """Top-Q by the order-k statistic of every vertex, from one psi_all sweep.
+
+    Ranks any order k (the bound-driven search is order-1 only). Entries
+    follow topQ_lstat's ordering and tie rules; every vertex counts as
+    computed and no bound is evaluated.
+    """
     t0 = time.perf_counter()
-    bounds = _Bounds(g)
-    exact_counts = [0] * workers
-
-    def scan_pass(pending, floor):
-        return _parallel_scan(g, pending, floor, bounds, workers, chunk_size,
-                              exact_counts)
-
-    state = _search(g, q, scan_pass)
-    e1, e2 = bounds.counts()
-    return TopQResult(
-        entries=_make_entries(state.known, q),
-        computed_count=len(state.known),
-        est1_count=e1,
-        est2_count=e2,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        worker_exact_counts=exact_counts,
-    )
+    _check_q(g, q)
+    entries = _make_entries(np.arange(g.n), psi_all(g, k), q)
+    return TopQResult(entries=entries, computed_count=g.n, est1_count=0,
+                      est2_count=0, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> None:

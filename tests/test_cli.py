@@ -75,17 +75,22 @@ def test_topq_trims_on_skewed_graph(tmp_path):
 
 
 def test_topq_repeated_runs_identical_reports(tmp_path):
-    path = write_tri(tmp_path)
-    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(["topq", "--input", str(path), "--Q", "2", "--workers", "1",
-                 "--out", str(r1)]) == 0
-    assert main(["topq", "--input", str(path), "--Q", "2", "--workers", "1",
-                 "--out", str(r2)]) == 0
-    q1, a = read_trim_report(r1)
-    q2, b = read_trim_report(r2)
-    # deterministic content; wall time is the only field allowed to vary
-    assert (q1, a.entries, a.computed_count, a.est1_count, a.est2_count) == \
-           (q2, b.entries, b.computed_count, b.est1_count, b.est2_count)
+    g, _, _ = er_graph(150, 0.04, 8)
+    from activescan import write_edge_list
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    reports = []
+    # the search is serial whatever --workers says, so reports agree across it
+    for i, workers in enumerate(["1", "1", "2"]):
+        out = tmp_path / f"r{i}.json"
+        assert main(["topq", "--input", str(path), "--Q", "5", "--workers", workers,
+                     "--out", str(out)]) == 0
+        q, res = read_trim_report(out)
+        # wall time is the only field allowed to vary
+        reports.append((q, res.entries, res.computed_count, res.est1_count,
+                        res.est2_count))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][2] < g.n  # the run prunes, so the counters are non-trivial
 
 
 def test_sbm_paper_flag_writes_expected_files(tmp_path, capsys):
@@ -240,6 +245,8 @@ def test_detect_nondefault_k_ranks_by_full_sweep(tmp_path):
     scores = psi_all(lg.graph, 0)
     want = np.sort(scores)[::-1][:25].tolist()
     assert sorted((int(r[1]) for r in rows[:25]), reverse=True) == want
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["trim_wall_ms"] > 0
 
 
 def test_workers_default_from_env(tmp_path, capsys, monkeypatch):
@@ -250,3 +257,16 @@ def test_workers_default_from_env(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     cfg = json.loads(out[:out.rindex("}") + 1])  # JSON block precedes the summary
     assert cfg["workers"] == 5
+
+
+def test_workers_env_rejects_non_positive_integers(tmp_path, capsys, monkeypatch):
+    path = write_tri(tmp_path)
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("ACTIVE_SCAN_THREADS", bad)
+        rc = main(["topq", "--input", str(path), "--Q", "1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "ACTIVE_SCAN_THREADS" in err["message"]
+    # an explicit flag does not consult the variable
+    assert main(["topq", "--input", str(path), "--Q", "1", "--workers", "1"]) == 0

@@ -3,9 +3,10 @@ import pytest
 
 from activescan import (Graph, est_lstat1, est_lstat2, generate_sbm,
                         paper_params, psi_all, read_trim_report, top_lstat,
-                        topQ_lstat, topQ_lstat_parallel, write_trim_report)
-from activescan.trimming import topQ_lstat_parallel as topq_par
-from _testutil import er_graph, planted_clique_graph, tri_graph, triangles_graph
+                        topQ_lstat, topQ_lstat_parallel, topQ_sweep,
+                        write_trim_report)
+from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, tri_graph,
+                       triangles_graph)
 
 
 def brute_topq_values(g, q):
@@ -61,11 +62,14 @@ def test_topq_three_cycle_all_tie():
     assert result_values(r, 3) == [3, 3, 3]
 
 
-@pytest.mark.parametrize("style,seed", [(s, i) for i in range(8) for s in ("er", "clique", "ties")])
+@pytest.mark.parametrize("style,seed", [(s, i) for i in range(8) for s in ("er", "clique", "ties")]
+                         + [(f, 0) for f in HUB_FAMILIES])
 def test_topq_matches_brute_force(style, seed):
-    rng = np.random.default_rng(seed * 31 + {"er": 0, "clique": 1, "ties": 2}[style])
+    rng = np.random.default_rng(seed * 31 + {"er": 0, "clique": 1, "ties": 2}.get(style, 0))
     n = int(rng.integers(30, 220))
-    if style == "er":
+    if style in HUB_FAMILIES:  # fixed hub-heavy graphs; seed is unused
+        g, _, _ = HUB_FAMILIES[style]()
+    elif style == "er":
         g, _, _ = er_graph(n, float(rng.uniform(0.01, 0.1)), seed)
     elif style == "clique":
         g, _, _ = planted_clique_graph(n, 0.02, int(rng.integers(4, 9)), seed)
@@ -76,6 +80,8 @@ def test_topq_matches_brute_force(style, seed):
         assert result_values(r, q) == brute_topq_values(g, q), (style, seed, q)
         assert r.computed_count <= g.n
         assert r.est1_count > 0
+        # strict-less pruning finds every boundary tie the full sweep lists
+        assert r.entries == topQ_sweep(g, q, 1).entries, (style, seed, q)
 
 
 def test_topq_q_equals_n_is_lossless():
@@ -125,33 +131,33 @@ def test_parallel_value_multisets_match_serial(workers):
     for seed in range(6):
         g, _, _ = er_graph(int(120 + 17 * seed), 0.04, seed + 500)
         q = max(1, g.n // 5)
-        serial = result_values(topQ_lstat(g, q), q)
+        serial = topQ_lstat(g, q)
         par = topQ_lstat_parallel(g, q, workers)
-        assert result_values(par, q) == serial
-        if workers > 1:
-            assert par.worker_exact_counts is not None
-            assert sum(par.worker_exact_counts) == par.computed_count
+        assert result_values(par, q) == result_values(serial, q)
+        # one search for every worker count: counters are reproducible too
+        assert (par.entries, par.computed_count, par.est1_count, par.est2_count) == \
+               (serial.entries, serial.computed_count, serial.est1_count, serial.est2_count)
+        assert par.worker_exact_counts == [par.computed_count]
+    with pytest.raises(ValueError):
+        topQ_lstat_parallel(g, q, 0)
 
 
-def test_parallel_chunked_heavy_vertex():
-    # hub of degree n-1 forces neighborhood splitting with a small chunk size
-    n = 3000
-    g = Graph.from_edges(n, [0] * (n - 1), list(range(1, n)))
-    r = topq_par(g, 3, 4, chunk_size=128)
-    assert result_values(r, 3) == brute_topq_values(g, 3)
-
-
-def test_parallel_balance_report_on_skew_graph():
-    g, _, _ = planted_clique_graph(400, 0.01, 6, 3)
-    src, dst = g.edge_arrays()
-    hub = np.full(g.n - 1, 5)
-    others = np.array([v for v in range(g.n) if v != 5])
-    g2 = Graph.from_edges(g.n, np.r_[src, hub], np.r_[dst, others])
-    r = topq_par(g2, 20, 4, chunk_size=64)
-    assert result_values(r, 20) == brute_topq_values(g2, 20)
-    assert len(r.worker_exact_counts) == 4
-    assert sum(r.worker_exact_counts) == r.computed_count
-    print("per-worker exact computations:", r.worker_exact_counts)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sweep_ranks_any_order_with_boundary_ties(k):
+    g, _, _ = er_graph(90, 0.05, 33)
+    scores = psi_all(g, k)
+    for q in (1, 10, g.n):
+        r = topQ_sweep(g, q, k)
+        kth = np.sort(scores)[::-1][q - 1]
+        want = sorted(((v, int(s)) for v, s in enumerate(scores) if s >= kth),
+                      key=lambda e: (-e[1], e[0]))
+        assert r.entries == want
+        assert r.computed_count == g.n
+        assert r.wall_ms > 0
+    with pytest.raises(ValueError):
+        topQ_sweep(g, 0, k)
+    with pytest.raises(ValueError):
+        topQ_sweep(g, g.n + 1, k)
 
 
 def test_trim_state_invariants_and_pruning_soundness():
