@@ -166,7 +166,7 @@ def _cmd_detect(args) -> int:
     elif sim.order < 2 or max_c < 2:
         num_clusters, floor_applied = 1, False
     else:
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim))
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c)
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
     assignment, diag = spectral_cluster(

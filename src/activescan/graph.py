@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,19 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of keys by one sort and an adjacent-difference mask.
+
+    np.unique takes a hash-based path on integer keys that is far slower
+    than sorting at edge-list sizes.
+    """
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Drop self-loops and duplicate directed edges; sort by (src, dst).
 
@@ -35,7 +49,7 @@ def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return src, dst, n_loops, 0
     n = int(max(src.max(), dst.max())) + 1
     key = src.astype(np.int64) * n + dst.astype(np.int64)
-    uniq = np.unique(key)
+    uniq = _sorted_unique(key)
     n_dups = int(key.size - uniq.size)
     return uniq // n, uniq % n, n_loops, n_dups
 
@@ -91,7 +105,7 @@ class Graph:
         # undirected neighbor lists: unique union of both orientations
         a = np.concatenate([src, dst])
         b = np.concatenate([dst, src])
-        key = np.unique(a * np.int64(n) + b) if a.size else a
+        key = _sorted_unique(a * np.int64(n) + b)
         und_off, und_dst = _csr(n, key // n, key % n)
         return cls(n, out_off, out_dst, in_off, in_src, und_off, und_dst)
 
@@ -194,26 +208,46 @@ def induced_edge_count(g: Graph, s) -> int:
     return int(mask[dst].sum())
 
 
-def _iter_lines(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from fh
-    else:
-        yield from source
+def _read_lines(source) -> list:
+    """The lines of an iterable as given, or of a file split at '\n' only.
 
-
-def load_edge_list(source, *, with_mapping: bool = False):
-    """Parse a plain-text edge list into a Graph.
-
-    Each non-comment line is "src dst" with arbitrary whitespace; lines
-    starting with '#' and blank lines are skipped. Vertex ids may be any
-    non-negative integers and are remapped to dense [0, n); the mapping
-    (dense id -> original id) is returned when with_mapping is set.
-    Self-loops and duplicate edges are dropped with a counted warning.
+    A file that is not valid UTF-8 stays bytes, so the line loop raises the
+    decoding error at its line.
     """
+    if not isinstance(source, (str, Path)):
+        return list(source)
+    data = Path(source).read_bytes()
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return data.split(b"\n")
+
+
+def _fast_pairs(lines: list) -> np.ndarray | None:
+    """All pairs by one C-level parse, or None where the line loop must decide.
+
+    Accepts only what the loop accepts with the same values: the parse
+    reads optionally signed decimal integers split by whitespace, and any
+    other token (comment marks, floats, hex, digit separators), a column
+    count other than 2, a negative id or an empty input sends the lines
+    back to the loop, which reports the located error or skips comments.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty input warns; the loop rejects it
+            pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2,
+                               encoding="utf-8")
+    except (ValueError, TypeError):  # UnicodeDecodeError is a ValueError
+        return None
+    if pairs.size == 0 or pairs.shape[1] != 2 or pairs.min() < 0:
+        return None
+    return pairs
+
+
+def _loop_pairs(lines: list) -> np.ndarray:
     srcs: list[int] = []
     dsts: list[int] = []
-    for line_no, raw in enumerate(_iter_lines(source), 1):
+    for line_no, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
         line = raw.strip()
@@ -232,8 +266,25 @@ def load_edge_list(source, *, with_mapping: bool = False):
         dsts.append(b)
     if not srcs:
         raise ValueError("empty edge list")
-    raw_src = np.array(srcs, dtype=np.int64)
-    raw_dst = np.array(dsts, dtype=np.int64)
+    return np.column_stack([np.array(srcs, dtype=np.int64),
+                            np.array(dsts, dtype=np.int64)])
+
+
+def load_edge_list(source, *, with_mapping: bool = False):
+    """Parse a plain-text edge list into a Graph.
+
+    Each non-comment line is "src dst" with arbitrary whitespace; lines
+    starting with '#' and blank lines are skipped. Vertex ids may be any
+    non-negative integers and are remapped to dense [0, n); the mapping
+    (dense id -> original id) is returned when with_mapping is set.
+    Self-loops and duplicate edges are dropped with a counted warning.
+    Malformed input raises EdgeListParseError with its line number.
+    """
+    lines = _read_lines(source)
+    pairs = _fast_pairs(lines)
+    if pairs is None:
+        pairs = _loop_pairs(lines)
+    raw_src, raw_dst = pairs[:, 0], pairs[:, 1]
     ids, inverse = np.unique(np.concatenate([raw_src, raw_dst]), return_inverse=True)
     src = inverse[:raw_src.size]
     dst = inverse[raw_src.size:]

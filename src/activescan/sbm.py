@@ -316,8 +316,9 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
     for qi, q in enumerate(q_values):
         sel = order[:q]
         sim = build_similarity_matrix(lg.graph, sel, similarity_k)
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim))
-        bhat = estimate_num_clusters(evals, min(max_clusters, q))
+        max_c = min(max_clusters, q)
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c)
+        bhat = estimate_num_clusters(evals, max_c)
         w = rbf_affinity(sim)
         assignment, _ = spectral_cluster(w, bhat, derive_seed(run_seed, f"cluster:{q}"))
         out[qi] = ari(assignment.labels, lg.labels[sel])

@@ -3,7 +3,8 @@
 The clustering variant is fixed: RBF affinity on the distance 1 - S,
 symmetric degree normalization, row-normalized top eigenvectors, k-means
 with deterministic seeding. The eigengap of the normalized affinity
-spectrum suggests the cluster count.
+spectrum suggests the cluster count. Every stage needs only a few leading
+eigenpairs of a dense Q x Q matrix, so each solves for just those.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .similarity import SimilarityMatrix
+
+# Orders from which the top-k solves use Lanczos iteration. Below it a dense
+# solve takes at most a few tens of milliseconds, while importing ARPACK's
+# modules would add about 9 MB to the resident set of every small run.
+_LANCZOS_MIN_ORDER = 500
 
 
 @dataclass
@@ -24,7 +30,7 @@ class ClusterAssignment:
 
 @dataclass
 class SpectralDiagnostics:
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # the num_clusters leading ones, descending
     chosen_gap_index: int
     kmeans_inertia: float
     restarts_used: int
@@ -33,8 +39,40 @@ class SpectralDiagnostics:
 @dataclass
 class MdsResult:
     coords: np.ndarray
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # the dims leading ones, descending
     negative_clamped: bool
+
+
+def _top_eigh(a: np.ndarray, k: int,
+              vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k largest eigenvalues of symmetric a, descending, and their eigenvectors.
+
+    Matrices of order >= _LANCZOS_MIN_ORDER use ARPACK's Lanczos iteration
+    from a fixed start vector, so repeated calls agree bitwise; smaller
+    ones, and any solve that does not converge, use the dense solver. Each
+    eigenvector is signed so that its largest-magnitude entry is positive,
+    which makes the result independent of the solver. The second element
+    is None unless vectors is set.
+    """
+    q = a.shape[0]
+    found = None
+    if q >= _LANCZOS_MIN_ORDER and k < q - 1:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, q)
+        try:
+            found = eigsh(a, k, which="LA", v0=v0, return_eigenvectors=vectors)
+        except ArpackNoConvergence:
+            pass
+    if found is None:
+        found = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    evals, evecs = found if vectors else (found, None)
+    order = np.argsort(evals, kind="stable")[::-1][:k]
+    evals = evals[order]
+    if vectors:
+        evecs = evecs[:, order]
+        pivots = np.abs(evecs).argmax(axis=0)
+        evecs *= np.where(evecs[pivots, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
+    return evals, evecs
 
 
 def _as_matrix(s) -> np.ndarray:
@@ -76,10 +114,15 @@ def _normalized_affinity(w: np.ndarray) -> np.ndarray:
     return (sym + sym.T) / 2.0
 
 
-def normalized_affinity_spectrum(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of D^{-1/2} W D^{-1/2}, sorted descending."""
-    evals = np.linalg.eigvalsh(_normalized_affinity(np.asarray(w, dtype=float)))
-    return evals[::-1]
+def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The `count` largest eigenvalues of D^{-1/2} W D^{-1/2} (all by default), descending."""
+    sym = _normalized_affinity(np.asarray(w, dtype=float))
+    q = sym.shape[0]
+    if count is None:
+        count = q
+    elif not 1 <= count <= q:
+        raise ValueError(f"count must be in [1, {q}]")
+    return _top_eigh(sym, count, vectors=False)[0]
 
 
 def estimate_num_clusters(eigenvalues, max_clusters: int) -> int:
@@ -127,8 +170,8 @@ def model_selection_affinity(s, k_scale: int = 3) -> np.ndarray:
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
     dist = np.sqrt(d2)
     q = dist.shape[0]
-    order = np.sort(dist, axis=1)
-    sigma = order[:, min(k_scale, q - 1)]
+    kth = min(k_scale, q - 1)
+    sigma = np.partition(dist, kth, axis=1)[:, kth]
     sigma[sigma == 0] = 1.0
     w = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(w, 1.0)
@@ -205,9 +248,7 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     if vertices is None:
         vertices = np.arange(q, dtype=np.int64)
 
-    evals, evecs = np.linalg.eigh(_normalized_affinity(w))
-    evals = evals[::-1]
-    embed = evecs[:, ::-1][:, :num_clusters].copy()
+    evals, embed = _top_eigh(_normalized_affinity(w), num_clusters)
     norms = np.linalg.norm(embed, axis=1)
     pos = norms > 0
     embed[pos] /= norms[pos, None]
@@ -231,21 +272,20 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
 def classical_mds(s, dims: int = 2) -> MdsResult:
     """Classical MDS of the distance 1 - S.
 
-    Double-centers the squared distances and embeds with the top `dims`
-    eigenpairs; negative eigenvalues among them are clamped to zero and
-    flagged.
+    Double-centers the squared distances with their row means and embeds
+    with the top `dims` eigenpairs; negative eigenvalues among them are
+    clamped to zero and flagged. Each axis is signed so that the point
+    farthest along it has a positive coordinate.
     """
     values = _as_matrix(s)
     q = values.shape[0]
     if not 1 <= dims <= q:
         raise ValueError(f"dims must be in [1, {q}]")
-    dist = 1.0 - values
-    j = np.eye(q) - np.ones((q, q)) / q
-    b = -0.5 * j @ (dist ** 2) @ j
-    evals, evecs = np.linalg.eigh((b + b.T) / 2.0)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    used = evals[:dims]
-    clamped = bool((used < 0).any())
-    coords = evecs[:, :dims] * np.sqrt(np.clip(used, 0, None))
+    d2 = (1.0 - values) ** 2
+    d2 = (d2 + d2.T) / 2.0  # exactly symmetric, also for an asymmetric input
+    r = d2.mean(axis=1)
+    b = -0.5 * (d2 - (r[:, None] + r[None, :]) + r.mean())
+    evals, evecs = _top_eigh(b, dims)
+    clamped = bool((evals < 0).any())
+    coords = evecs * np.sqrt(np.clip(evals, 0, None))
     return MdsResult(coords=coords, eigenvalues=evals, negative_clamped=clamped)

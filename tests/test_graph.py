@@ -7,6 +7,7 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         read_binary, write_binary, write_edge_list)
+from activescan.graph import _fast_pairs, _loop_pairs, _sorted_unique
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        tri_graph, undirected_adj)
 
@@ -58,6 +59,60 @@ def test_parse_error_reports_line_number():
 def test_empty_input_is_error():
     with pytest.raises(ValueError):
         load_edge_list(io.StringIO("# nothing\n"))
+
+
+# Lines the C-level parse must leave to the line loop, or read exactly as the
+# loop does: comments, floats, hex, digit separators, signs, blank and
+# whitespace-only lines, other whitespace and line ends inside a line.
+PARSE_CASES = [
+    "1 2 # c", "1.5 2", "0x1 2", "1_0 2", "+1 2", "01 2", "1 -0", "-1 2",
+    "1 2 3", "1", "", "   ", "\t", "# header", "1 2\r", "1 2\r3 4", "1\x0c2",
+    "1\xa02", "1\u20282 3 4", "\ufeff1 2", "1e3 2", "9223372036854775808 1",
+    "\u0661 2",
+]
+
+
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_fast_parse_agrees_with_line_loop(case):
+    for lines in ([case], ["5 6", case, "7 8"], ["# head", case],
+                  [x.encode() + b"\n" for x in ("5 6", case)]):
+        fast = _fast_pairs(lines)
+        if fast is None:
+            continue
+        assert fast.dtype == np.int64
+        assert fast.tolist() == _loop_pairs(lines).tolist()
+
+
+def test_fast_parse_reads_plain_edge_lists():
+    for lines in (["1 2", "3 4", ""], ["1\t2\r\n", "  3 4  \n", "\n", " \t \n"],
+                  [b"10 20\n", b"20 10\n"]):
+        assert _fast_pairs(lines).tolist() == _loop_pairs(lines).tolist()
+
+
+def test_load_edge_list_parity_cases(tmp_path):
+    for text, line_no in (("0 1\n1 2 # c\n", 2), ("0 1\n\n1.5 2\n", 3),
+                          ("0x1 2\n", 1), ("0 1\n1 2\r3 4\n", 2), ("2 -1\n", 1)):
+        path = tmp_path / "bad.edges"
+        path.write_text(text, newline="")
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == line_no
+    path = tmp_path / "ok.edges"
+    path.write_bytes(b"# header\n1_0 2\r\n\n  \t\n2 10\n")
+    g, ids = load_edge_list(path, with_mapping=True)
+    assert ids.tolist() == [2, 10] and g.m == 2
+    path.write_bytes(b"0 1\n1 \xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(path)
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for keys in (np.array([], dtype=np.int64), np.array([7]),
+                 rng.integers(0, 50, 500), rng.integers(-2**40, 2**40, 1000)):
+        got = _sorted_unique(keys)
+        assert got.dtype == keys.dtype
+        assert np.array_equal(got, np.unique(keys))
 
 
 def test_degree_stat_cases():

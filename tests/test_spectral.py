@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from activescan import (ari, auto_sigma, classical_mds, estimate_num_clusters,
                         model_selection_affinity, normalized_affinity_spectrum,
                         rbf_affinity, spectral_cluster)
-from activescan.spectral import _normalized_affinity
+from activescan.spectral import _LANCZOS_MIN_ORDER, _normalized_affinity, _top_eigh
+
+# Order of the matrices that exercise the Lanczos path; every other test
+# matrix is below the threshold and takes the dense path.
+LARGE = _LANCZOS_MIN_ORDER + 100
+LARGE_BLOCKS = [200, 170, 130, 100]  # sums to LARGE; distinct sizes
 
 
 def ideal_affinity(sizes):
@@ -82,6 +92,116 @@ def test_normalized_spectrum_descending_unit_top():
     evals = normalized_affinity_spectrum(w)
     assert (np.diff(evals) <= 1e-12).all()
     assert evals[0] == pytest.approx(1.0)
+
+
+def _large_symmetric(seed):
+    """Random symmetric matrix with a well separated leading spectrum."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((LARGE, LARGE))
+    basis = np.linalg.qr(rng.standard_normal((LARGE, 6)))[0]
+    spikes = (basis * np.array([60.0, 50.0, 45.0, 40.0, -55.0, 35.0])) @ basis.T
+    return (base + base.T) / 2 + spikes
+
+
+def _dense_top(a, k):
+    evals, evecs = np.linalg.eigh(a)
+    return evals[::-1][:k], evecs[:, ::-1][:, :k]
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Count the ARPACK solves the code under test makes."""
+    import scipy.sparse.linalg as sla
+    calls = []
+    real = sla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("matrix", ["random", "blocks"])
+def test_top_eigh_lanczos_matches_dense(matrix, eigsh_calls):
+    a = _large_symmetric(1) if matrix == "random" else ideal_affinity(LARGE_BLOCKS)
+    k = 4
+    evals, evecs = _top_eigh(a, k)
+    assert eigsh_calls == [k]
+    want_vals, want_vecs = _dense_top(a, k)
+    assert np.abs(evals - want_vals).max() < 1e-10
+    assert (np.abs((evecs * want_vecs).sum(axis=0)) >= 1 - 1e-10).all()
+    only_vals, none = _top_eigh(a, k, vectors=False)
+    assert none is None and np.abs(only_vals - want_vals).max() < 1e-10
+
+
+def test_top_eigh_lanczos_is_deterministic():
+    a = _large_symmetric(2)
+    first, second = _top_eigh(a, 3), _top_eigh(a, 3)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+
+
+@pytest.mark.parametrize("order", [40, LARGE])
+def test_top_eigh_sign_convention(order):
+    rng = np.random.default_rng(order)
+    base = rng.standard_normal((order, order))
+    for k in (1, 3):
+        _, evecs = _top_eigh((base + base.T) / 2, k)
+        peaks = evecs[np.abs(evecs).argmax(axis=0), np.arange(k)]
+        assert (peaks > 0).all()
+
+
+def test_top_eigh_falls_back_to_dense_without_convergence(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    a = _large_symmetric(3)
+    evals, evecs = _top_eigh(a, 2)
+    want_vals, want_vecs = _dense_top(a, 2)
+    assert np.array_equal(evals, want_vals)
+    assert np.array_equal(np.abs(evecs), np.abs(want_vecs))
+
+
+def test_small_matrices_do_not_import_arpack():
+    # ARPACK's modules add ~9 MB to the resident set of small runs
+    code = (
+        "import sys, numpy as np\n"
+        "from activescan import classical_mds, normalized_affinity_spectrum, spectral_cluster\n"
+        f"w = np.ones(({_LANCZOS_MIN_ORDER - 1},) * 2)\n"
+        "normalized_affinity_spectrum(w, 3)\n"
+        "spectral_cluster(w, 2, seed=0)\n"
+        "classical_mds(w, dims=2)\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_spectral_cluster_recovers_ideal_blocks_on_lanczos_path(eigsh_calls):
+    assign, diag = spectral_cluster(ideal_affinity(LARGE_BLOCKS), 4, seed=7)
+    assert eigsh_calls == [4]
+    assert ari(assign.labels, block_labels(LARGE_BLOCKS)) == 1.0
+    assert len(diag.eigenvalues) == 4
+    assert np.abs(diag.eigenvalues - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("order", [30, LARGE])
+def test_partial_spectrum_is_prefix_of_full(order):
+    w = rbf_affinity(np.clip(_large_symmetric(4)[:order, :order] / 80 + 0.5, 0, 1),
+                     sigma=0.3)
+    full = normalized_affinity_spectrum(w)
+    assert len(full) == order
+    for c in (2, 5, 9):
+        part = normalized_affinity_spectrum(w, c)
+        assert len(part) == c
+        assert np.abs(part - full[:c]).max() < 1e-10
+    with pytest.raises(ValueError):
+        normalized_affinity_spectrum(w, order + 1)
 
 
 def test_eigh_residual_sanity():
@@ -167,6 +287,14 @@ def test_model_selection_affinity_is_valid_affinity():
     s = (s + s.T) / 2
     np.fill_diagonal(s, 1.0)
     w = model_selection_affinity(s)
+    profiles = s.copy()
+    np.fill_diagonal(profiles, 0.0)
+    sq = (profiles ** 2).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
+    sigma = np.sort(np.sqrt(d2), axis=1)[:, 3]  # the k_scale-th neighbour by a full sort
+    want = np.exp(-d2 / np.outer(sigma, sigma))
+    np.fill_diagonal(want, 1.0)
+    assert np.array_equal(w, want)
     assert np.array_equal(w, w.T)
     assert (np.diag(w) == 1.0).all()
     assert (w >= 0).all() and (w <= 1).all()
@@ -193,13 +321,17 @@ def test_mds_equilateral_triangle():
 @pytest.mark.parametrize("seed", range(4))
 def test_mds_recovers_planar_distances(seed):
     rng = np.random.default_rng(seed)
-    pts = rng.random((12, 2))
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    dist /= dist.max() * 1.01  # keep 1 - d a valid similarity
-    res = classical_mds(1.0 - dist, dims=2)
-    rec = np.linalg.norm(res.coords[:, None, :] - res.coords[None, :, :], axis=2)
-    assert np.abs(rec - dist).max() < 1e-9
-    assert not res.negative_clamped
+    for count in (12, LARGE):  # dense and Lanczos paths
+        pts = rng.random((count, 2))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        dist /= dist.max() * 1.01  # keep 1 - d a valid similarity
+        res = classical_mds(1.0 - dist, dims=2)
+        rec = np.linalg.norm(res.coords[:, None, :] - res.coords[None, :, :], axis=2)
+        assert np.abs(rec - dist).max() < 1e-9
+        assert not res.negative_clamped
+        assert len(res.eigenvalues) == 2
+        peaks = res.coords[np.abs(res.coords).argmax(axis=0), [0, 1]]
+        assert (peaks > 0).all()
 
 
 def test_mds_clamps_non_euclidean_eigenvalues():
