@@ -22,9 +22,8 @@ from .spectral import (ClusterAssignment, MdsResult, SpectralDiagnostics,
                        auto_sigma, classical_mds, estimate_num_clusters,
                        model_selection_affinity, normalized_affinity_spectrum,
                        rbf_affinity, spectral_cluster)
-from .trimming import (TopQResult, TrimState, read_trim_report, top_lstat,
-                       topQ_lstat, topQ_lstat_parallel, topQ_sweep,
-                       write_trim_report)
+from .trimming import (TopQResult, read_trim_report, topQ_lstat,
+                       topQ_lstat_parallel, topQ_sweep, write_trim_report)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "AriResult", "ClusterAssignment", "EdgeListParseError", "EvalCurve",
     "Graph", "LabeledGraph", "LocalityScore", "MdsResult", "RocResult",
     "SBMParams", "SimilarityMatrix", "SpectralDiagnostics", "TopQResult",
-    "TrimState", "VertexMarker", "ari", "auto_sigma",
+    "VertexMarker", "ari", "auto_sigma",
     "build_similarity_matrix", "classical_mds", "degree_stat", "derive_seed",
     "est_lstat1", "est_lstat2", "estimate_num_clusters",
     "expected_edge_count", "generate_sbm", "induced_edge_count", "jaccard",
@@ -41,7 +40,7 @@ __all__ = [
     "neighborhood", "normalized_affinity_spectrum", "paper_params",
     "params_from_json", "params_to_json", "psi_all", "psi_k", "rbf_affinity",
     "read_binary", "read_similarity_csv", "read_trim_report", "roc_auc",
-    "spectral_cluster", "top_lstat", "topQ_lstat", "topQ_lstat_parallel",
+    "spectral_cluster", "topQ_lstat", "topQ_lstat_parallel",
     "topQ_sweep", "write_binary", "write_edge_list", "write_similarity_csv",
     "write_trim_report",
 ]

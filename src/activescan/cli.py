@@ -6,6 +6,12 @@ ACTIVE_SCAN_THREADS (a positive integer) supplies the default of
 --workers, which sizes eval's Monte-Carlo process pool; topq, detect and
 bench-trim accept it but always search in one thread, with identical
 results for any value.
+
+The trim counters of topq, bench-trim and detect's diagnostics.json are,
+with t the final Q-th value: computed_count, the vertices whose exact
+statistic was evaluated (those whose smaller bound is >= t);
+est1_count / est2_count, the vertices whose deg^2 + deg / capped bound
+is >= t, i.e. what that bound alone would leave to compute.
 """
 
 from __future__ import annotations

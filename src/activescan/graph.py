@@ -37,21 +37,16 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Drop self-loops and duplicate directed edges; sort by (src, dst).
-
-    Returns (src, dst, n_self_loops, n_duplicates).
-    """
+def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop self-loops and duplicate directed edges; sort by (src, dst)."""
     keep = src != dst
-    n_loops = int(src.size - keep.sum())
     src, dst = src[keep], dst[keep]
     if src.size == 0:
-        return src, dst, n_loops, 0
+        return src, dst
     n = int(max(src.max(), dst.max())) + 1
     key = src.astype(np.int64) * n + dst.astype(np.int64)
     uniq = _sorted_unique(key)
-    n_dups = int(key.size - uniq.size)
-    return uniq // n, uniq % n, n_loops, n_dups
+    return uniq // n, uniq % n
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +93,7 @@ class Graph:
         if src.size and (src.min() < 0 or dst.min() < 0
                          or src.max() >= n or dst.max() >= n):
             raise ValueError(f"edge endpoint out of range for n={n}")
-        src, dst, _, _ = _clean_edges(src, dst)
+        src, dst = _clean_edges(src, dst)
         out_off, out_dst = _csr(n, src, dst)
         order = np.lexsort((src, dst))
         in_off, in_src = _csr(n, dst[order], src[order])
@@ -189,6 +184,15 @@ def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:
     return closed_neighborhood_rows(g, [v], k).indices.astype(np.int64)
 
 
+def _out_targets(g: Graph, members: np.ndarray) -> np.ndarray:
+    """Targets of every out-edge of the members, gathered in one pass."""
+    lo = g._out_off[members]
+    lens = g._out_off[members + 1] - lo
+    # gather slot p of member r maps to CSR index p + lo[r] - (slots before r)
+    shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    return g._out_dst[shift + np.arange(int(lens.sum()))]
+
+
 def induced_edge_count(g: Graph, s) -> int:
     """Number of directed edges with both endpoints in s.
 
@@ -200,12 +204,7 @@ def induced_edge_count(g: Graph, s) -> int:
     s = np.unique(s)  # set semantics even if the caller passed repeats
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True
-    lo = g._out_off[s]
-    lens = g._out_off[s + 1] - lo
-    # gather slot p of member r maps to CSR index p + lo[r] - (slots before r)
-    shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
-    dst = g._out_dst[shift + np.arange(int(lens.sum()))]
-    return int(mask[dst].sum())
+    return int(mask[_out_targets(g, s)].sum())
 
 
 def _read_lines(source) -> list:
@@ -288,13 +287,13 @@ def load_edge_list(source, *, with_mapping: bool = False):
     ids, inverse = np.unique(np.concatenate([raw_src, raw_dst]), return_inverse=True)
     src = inverse[:raw_src.size]
     dst = inverse[raw_src.size:]
-    n = ids.size
-    clean_src, clean_dst, n_loops, n_dups = _clean_edges(src, dst)
+    g = Graph.from_edges(ids.size, src, dst)
+    n_loops = int((src == dst).sum())
+    n_dups = src.size - n_loops - g.m
     if n_loops:
         log.warning("dropped %d self-loop(s)", n_loops)
     if n_dups:
         log.warning("dropped %d duplicate edge(s)", n_dups)
-    g = Graph.from_edges(n, clean_src, clean_dst)
     if with_mapping:
         return g, ids
     return g

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Graph, closed_neighborhood_rows, degree_stat,
-                    induced_edge_count, neighborhood)
+from .graph import (Graph, _out_targets, closed_neighborhood_rows,
+                    degree_stat, induced_edge_count, neighborhood)
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,15 @@ class VertexMarker:
 
 
 def _local_stat_value(g: Graph, v: int, marker: VertexMarker) -> int:
-    """Order-1 statistic via the incident-edge scan.
+    """Order-1 statistic via one gather of the members' out-edges.
 
-    For every member u of N_1[v], every incident edge of u is tested for
-    both endpoints lying in N_1[v]; each inside edge is seen from exactly
-    two members, so halving is exact.
+    Marks N_1[v], gathers the out-lists of v and its neighbors and counts
+    the marked targets; each inside edge has one source, so it is counted
+    once.
     """
     nb = g.neighbors(v)
     marker.mark(v, nb)
-    chunks = [g.out_neighbors(v), g.in_neighbors(v)]
-    for u in nb.tolist():
-        chunks.append(g.out_neighbors(u))
-        chunks.append(g.in_neighbors(u))
-    idx = np.concatenate(chunks)
-    return marker.count_marked(idx) // 2
+    return marker.count_marked(_out_targets(g, np.append(nb, v)))
 
 
 def local_stat(g: Graph, v: int, marker: VertexMarker | None = None) -> LocalityScore:

@@ -271,6 +271,15 @@ def _curve_envelope(curve: EvalCurve) -> tuple[np.ndarray, np.ndarray]:
     return curve.fpr[idx], curve.tpr[idx]
 
 
+def _map_runs(fn, args: list[tuple], workers: int) -> list:
+    """fn(*a) for every argument tuple a, in order; in a process pool of
+    `workers` processes when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*args)))
+    return [fn(*a) for a in args]
+
+
 def _roc_one_run(params: SBMParams, k: int, run_seed: int) -> tuple[np.ndarray, float]:
     lg = generate_sbm(replace(params, seed=run_seed))
     scores = psi_all(lg.graph, k)
@@ -290,20 +299,11 @@ def monte_carlo_roc(params: SBMParams, runs: int, k: int, seed: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     run_seeds = [derive_seed(seed, f"run:{r}") for r in range(runs)]
-    args = [(params, k, rs) for rs in run_seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_roc_one_star, args))
-    else:
-        rows = [_roc_one_run(*a) for a in args]
+    rows = _map_runs(_roc_one_run, [(params, k, rs) for rs in run_seeds], workers)
     tprs = np.stack([r[0] for r in rows])
     aucs = np.array([r[1] for r in rows])
     return RocResult(grid_fpr=ROC_GRID.copy(), mean_tpr=tprs.mean(axis=0),
                      mean_auc=float(aucs.mean()), run_aucs=aucs)
-
-
-def _roc_one_star(a):
-    return _roc_one_run(*a)
 
 
 def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
@@ -323,10 +323,6 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
         assignment, _ = spectral_cluster(w, bhat, derive_seed(run_seed, f"cluster:{q}"))
         out[qi] = ari(assignment.labels, lg.labels[sel])
     return out
-
-
-def _ari_one_star(a):
-    return _ari_one_run(*a)
 
 
 def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
@@ -351,9 +347,5 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
     run_seeds = [derive_seed(seed, f"run:{r}") for r in range(runs)]
     args = [(params, k, q_values, similarity_k, max_clusters, rs)
             for rs in run_seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_ari_one_star, args))
-    else:
-        rows = [_ari_one_run(*a) for a in args]
+    rows = _map_runs(_ari_one_run, args, workers)
     return AriResult(q_values=q_values, values=np.stack(rows))

@@ -1,46 +1,29 @@
 """Top-Q search for the order-1 locality statistic with bound-based pruning.
 
-The search computes the exact statistic on as few vertices as possible:
-candidates are visited in degree-descending order, a cheap quadratic bound
-is checked first, the tighter capped bound second, and the expensive exact
-scan runs only while a bound stays at or above the running threshold.
-Pruning is strict-less (a bound equal to the threshold is never pruned), so
-ties at the Q-th position are always discovered.
+The search computes the exact statistic on as few vertices as possible.
+Both upper bounds are computed for every vertex up front, and vertices
+are visited once in descending order of the smaller bound b(v). A
+size-Q min-heap holds the largest exact values seen; the search stops at
+the first vertex whose bound is strictly below the heap's minimum, since
+no later vertex can enter the top Q. A bound equal to the running Q-th
+value is never pruned, so ties at the Q-th position are always
+discovered, and the computed vertices are exactly {v : b(v) >= t} for t
+the final Q-th value.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph
-from .locality import (VertexMarker, _local_stat_value, est_lstat1, est_lstat2,
-                       psi_all)
-
-
-@dataclass
-class TrimState:
-    """Running state of a top-Q search.
-
-    curr_max is the largest exact statistic discovered so far (monotone
-    non-decreasing); known maps vertex -> exact statistic; pending holds the
-    not-yet-computed vertices in degree-descending order.
-    """
-
-    curr_max: int = 0
-    known: dict[int, int] = field(default_factory=dict)
-    pending: list[int] = field(default_factory=list)
-
-    def qth_value(self, q: int) -> int:
-        if len(self.known) < q:
-            return 0
-        vals = np.fromiter(self.known.values(), dtype=np.int64, count=len(self.known))
-        return int(np.partition(vals, vals.size - q)[vals.size - q])
+from .locality import VertexMarker, _local_stat_value, psi_all
 
 
 @dataclass
@@ -49,8 +32,10 @@ class TopQResult:
 
     entries is sorted by value descending (ascending vertex id within ties)
     and includes every discovered tie at the Q-th value, so its length is
-    >= Q. The counters report distinct vertices whose exact statistic /
-    bounds were evaluated.
+    >= Q. computed_count is the number of vertices whose exact statistic
+    was evaluated; est1_count / est2_count are the numbers of vertices
+    that the deg^2 + deg bound / the capped bound alone leaves at or above
+    the final Q-th value, i.e. would leave to compute.
     """
 
     entries: list[tuple[int, int]]
@@ -64,92 +49,16 @@ class TopQResult:
         return [v for _, v in self.entries]
 
 
-class _Bounds:
-    """Lazy per-vertex caches for both upper bounds.
-
-    A slot of -1 means not yet evaluated; the evaluation counts are the
-    filled slots, so each vertex counts once however many passes reach it.
-    """
-
-    __slots__ = ("g", "_b1", "_b2")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._b1 = np.full(g.n, -1, dtype=np.int64)
-        self._b2 = np.full(g.n, -1, dtype=np.int64)
-
-    def bound1(self, v: int) -> int:
-        val = self._b1[v]
-        if val < 0:
-            val = est_lstat1(self.g, v)
-            self._b1[v] = val
-        return int(val)
-
-    def bound2(self, v: int) -> int:
-        val = self._b2[v]
-        if val < 0:
-            val = est_lstat2(self.g, v)
-            self._b2[v] = val
-        return int(val)
-
-    def counts(self) -> tuple[int, int]:
-        return int((self._b1 >= 0).sum()), int((self._b2 >= 0).sum())
-
-
-def _degree_desc_order(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    # ties broken by ascending vertex id for reproducibility
-    return vertices[np.lexsort((vertices, -g.degrees()[vertices]))]
-
-
-def _scan(g, ordered, floor, bounds, marker, trace):
-    """One pruning pass over `ordered` (degree-descending candidates).
-
-    The running threshold starts at `floor` and rises with every exact
-    value found. Stopping once bound1 drops below the threshold is exact:
-    bound1 is monotone in degree, the candidates are degree-sorted, and the
-    threshold never decreases.
-    """
-    curr_max = floor
-    computed: dict[int, int] = {}
-    for i, v in enumerate(ordered):
-        b1 = bounds.bound1(v)
-        if b1 < curr_max:
-            if trace is not None:
-                for u in ordered[i:]:
-                    trace[u] = ("est1", curr_max)
-            break
-        b2 = bounds.bound2(v)
-        if b2 < curr_max:
-            if trace is not None:
-                trace[v] = ("est2", curr_max)
-            continue
-        val = _local_stat_value(g, v, marker)
-        computed[v] = val
-        if trace is not None:
-            trace.pop(v, None)
-        if val > curr_max:
-            curr_max = val
-    return computed
-
-
-def top_lstat(g: Graph, candidates, floor: int = 0) -> dict[int, int]:
-    """Scan candidates for the largest order-1 statistic above `floor`.
-
-    Returns every vertex whose exact statistic was computed along the way,
-    with its value. The maximum over the returned values equals the true
-    maximum over the candidates whenever that maximum reaches `floor`;
-    vertices whose upper bound fell below the running threshold are skipped.
-    """
-    cand = np.fromiter(candidates, dtype=np.int64) \
-        if not isinstance(candidates, np.ndarray) else candidates.astype(np.int64)
-    if cand.size == 0:
-        raise ValueError("candidates must be non-empty")
-    if cand.min() < 0 or cand.max() >= g.n:
-        raise ValueError("candidate vertex out of range")
-    if floor < 0:
-        raise ValueError("floor must be non-negative")
-    ordered = _degree_desc_order(g, cand).tolist()
-    return _scan(g, ordered, floor, _Bounds(g), VertexMarker(g.n), None)
+def _bounds(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """est_lstat1 and est_lstat2 of every vertex, in O(n + m)."""
+    deg = g.degrees()
+    sizes = np.diff(g._und_off)
+    cap = 2 * (sizes + 1)
+    # capped degree of every neighbor slot, summed per row by prefix sums
+    capped = np.minimum(deg[g._und_dst], np.repeat(cap, sizes))
+    prefix = np.concatenate(([0], np.cumsum(capped)))
+    total = np.minimum(deg, cap) + prefix[g._und_off[1:]] - prefix[g._und_off[:-1]]
+    return deg * deg + deg, total // 2
 
 
 def _make_entries(vertices, values, q: int) -> list[tuple[int, int]]:
@@ -169,59 +78,37 @@ def _check_q(g: Graph, q: int) -> None:
         raise ValueError(f"Q must be in [1, {g.n}], got {q}")
 
 
-def _search(g, q, bounds, marker, trace):
-    """Two-stage driver of the top-Q search.
-
-    Stage 1 accumulates at least Q exact values by repeated scans with a
-    zero floor. Stage 2 rescans the remaining vertices with the floor set
-    to the current Q-th value and stops once a pass discovers no value
-    above its floor: in that pass the threshold never rose past the floor,
-    so every still-pending vertex has a bound strictly below the final
-    Q-th value.
-    """
-    _check_q(g, q)
-    state = TrimState()
-    state.pending = _degree_desc_order(g, np.arange(g.n, dtype=np.int64)).tolist()
-
-    def absorb(computed):
-        state.known.update(computed)
-        state.pending = [u for u in state.pending if u not in computed]
-        if computed:
-            state.curr_max = max(state.curr_max, max(computed.values()))
-
-    while len(state.known) < q and state.pending:
-        computed = _scan(g, state.pending, 0, bounds, marker, trace)
-        absorb(computed)
-        if not computed:
-            break  # unreachable with floor 0; guards against a stalled loop
-    while state.pending:
-        kth = state.qth_value(q)
-        computed = _scan(g, state.pending, kth, bounds, marker, trace)
-        absorb(computed)
-        if not computed or max(computed.values()) <= kth:
-            break
-    return state
-
-
-def topQ_lstat(g: Graph, q: int, *, _trace: dict | None = None,
-               _state_out: list | None = None) -> TopQResult:
+def topQ_lstat(g: Graph, q: int) -> TopQResult:
     """Exact values of the Q largest order-1 locality statistics.
 
     The value multiset of the first Q entries equals the brute-force top-Q;
     all boundary ties are included beyond position Q.
     """
     t0 = time.perf_counter()
-    bounds = _Bounds(g)
-    state = _search(g, q, bounds, VertexMarker(g.n), _trace)
-    if _state_out is not None:
-        _state_out.append(state)
-    e1, e2 = bounds.counts()
-    known = state.known
+    _check_q(g, q)
+    b1, b2 = _bounds(g)
+    bound = np.minimum(b1, b2)
+    order = np.lexsort((np.arange(g.n), -bound))
+    marker = VertexMarker(g.n)
+    heap: list[int] = []  # the Q largest exact values so far, smallest first
+    computed: list[int] = []
+    values: list[int] = []
+    for v, b in zip(order.tolist(), bound[order].tolist()):
+        if len(heap) == q and b < heap[0]:
+            break
+        val = _local_stat_value(g, v, marker)
+        computed.append(v)
+        values.append(val)
+        if len(heap) < q:
+            heapq.heappush(heap, val)
+        elif val > heap[0]:
+            heapq.heapreplace(heap, val)
+    t = heap[0]
     return TopQResult(
-        entries=_make_entries(list(known), list(known.values()), q),
-        computed_count=len(known),
-        est1_count=e1,
-        est2_count=e2,
+        entries=_make_entries(computed, values, q),
+        computed_count=len(computed),
+        est1_count=int(np.count_nonzero(b1 >= t)),
+        est2_count=int(np.count_nonzero(b2 >= t)),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -35,6 +35,21 @@ def test_load_drops_duplicates_with_warning(caplog):
     assert "1 duplicate" in caplog.text
 
 
+@pytest.mark.parametrize("header", ["", "# forces the line-by-line parse\n"])
+def test_load_counts_loops_and_duplicates_once(tmp_path, caplog, header):
+    # 7 7 is a repeated self-loop, 3 9 a tripled edge, 9 3 its reciprocal
+    path = tmp_path / "dirty.edges"
+    path.write_text(header + "7 7\n3 9\n7 7\n3 9\n9 3\n3 9\n9 7\n7 7\n5 5\n")
+    with caplog.at_level(logging.WARNING):
+        g, mapping = load_edge_list(path, with_mapping=True)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 4 self-loop(s)", "dropped 2 duplicate edge(s)"]
+    assert mapping.tolist() == [3, 5, 7, 9]
+    assert g == Graph.from_edges(4, [0, 3, 3], [3, 0, 2])
+    assert g.in_neighbors(0).tolist() == [3]
+    assert g.neighbors(3).tolist() == [0, 2]
+
+
 def test_load_skips_comments_and_blanks():
     g = load_edge_list(io.StringIO("# header\n\n0 1\n\n# tail\n1 0\n"))
     assert (g.n, g.m) == (2, 2)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from activescan import (Graph, est_lstat1, est_lstat2, generate_sbm,
-                        paper_params, psi_all, read_trim_report, top_lstat,
-                        topQ_lstat, topQ_lstat_parallel, topQ_sweep,
-                        write_trim_report)
+                        paper_params, psi_all, read_trim_report, topQ_lstat,
+                        topQ_lstat_parallel, topQ_sweep, write_trim_report)
+from activescan.trimming import _bounds
 from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, tri_graph,
                        triangles_graph)
 
@@ -33,28 +33,57 @@ def clique_plus_paths() -> Graph:
     return Graph.from_edges(base + 100, src, dst)
 
 
-def test_top_lstat_three_cycle():
-    g = tri_graph()
-    found = top_lstat(g, [0, 1, 2], 0)
-    assert max(found.values()) == 3
+def bound_graphs(style):
+    if style in HUB_FAMILIES:
+        return [HUB_FAMILIES[style]()[0]]
+    if style == "er":
+        return [er_graph(150, 0.02 + 0.02 * s, s + 60)[0] for s in range(3)]
+    if style == "clique":
+        return [planted_clique_graph(120, 0.03, 6, s + 40)[0] for s in range(3)]
+    if style == "ties":
+        return [triangles_graph(30)[0]]
+    return [Graph.from_edges(6, [0, 1, 1, 2], [1, 0, 2, 0])]  # isolated 3..5
 
 
-def test_top_lstat_skips_most_of_a_skewed_graph():
+def per_vertex_bounds(g):
+    e1 = np.array([est_lstat1(g, v) for v in range(g.n)], dtype=np.int64)
+    e2 = np.array([est_lstat2(g, v) for v in range(g.n)], dtype=np.int64)
+    return e1, e2
+
+
+def test_topq_skips_most_of_a_skewed_graph():
     g = clique_plus_paths()
-    found = top_lstat(g, range(g.n), 0)
-    assert max(found.values()) == max(brute_topq_values(g, 1))
-    assert len(found) < 20  # 105 vertices, only the dense head computed
+    r = topQ_lstat(g, 1)
+    assert r.entries[0][1] == max(brute_topq_values(g, 1))
+    assert r.computed_count < 20  # 105 vertices, only the dense head computed
 
 
-def test_top_lstat_floor_above_all_bounds_returns_nothing():
-    g = tri_graph()
-    floor = max(est_lstat1(g, v) for v in range(3)) + 1
-    assert top_lstat(g, [0, 1, 2], floor) == {}
+@pytest.mark.parametrize("style", ["er", "clique", "ties", "isolated", *HUB_FAMILIES])
+def test_vectorised_bounds_equal_per_vertex_bounds(style):
+    for g in bound_graphs(style):
+        b1, b2 = _bounds(g)
+        e1, e2 = per_vertex_bounds(g)
+        assert b1.tolist() == e1.tolist()
+        assert b2.tolist() == e2.tolist()
 
 
-def test_top_lstat_empty_candidates_error():
-    with pytest.raises(ValueError):
-        top_lstat(tri_graph(), [], 0)
+@pytest.mark.parametrize("style", ["er", "clique", "ties", *HUB_FAMILIES])
+def test_counters_and_pruning_against_final_threshold(style):
+    for g in bound_graphs(style):
+        exact = psi_all(g, 1)
+        e1, e2 = per_vertex_bounds(g)
+        bound = np.minimum(e1, e2)
+        for q in sorted({1, 5, max(1, g.n // 10), g.n}):
+            r = topQ_lstat(g, q)
+            t = r.entries[q - 1][1]  # the final Q-th value
+            # one descending-bound pass computes exactly {v : bound(v) >= t}
+            assert r.computed_count == np.count_nonzero(bound >= t), (style, q)
+            assert r.est1_count == np.count_nonzero(e1 >= t), (style, q)
+            assert r.est2_count == np.count_nonzero(e2 >= t), (style, q)
+            # every pruned vertex is soundly pruned: psi_1 <= bound < t
+            pruned = bound < t
+            assert np.all(exact[pruned] <= bound[pruned]), (style, q)
+            assert np.all(exact[pruned] < t), (style, q)
 
 
 def test_topq_three_cycle_all_tie():
@@ -158,32 +187,6 @@ def test_sweep_ranks_any_order_with_boundary_ties(k):
         topQ_sweep(g, 0, k)
     with pytest.raises(ValueError):
         topQ_sweep(g, g.n + 1, k)
-
-
-def test_trim_state_invariants_and_pruning_soundness():
-    for seed in range(6):
-        g, _, _ = planted_clique_graph(120, 0.03, 6, seed + 40)
-        q = 10
-        trace = {}
-        state_out = []
-        r = topQ_lstat(g, q, _trace=trace, _state_out=state_out)
-        state = state_out[0]
-        exact = psi_all(g, 1)
-        # state partition and running-max invariants
-        assert state.curr_max == max(state.known.values())
-        assert set(state.known).isdisjoint(state.pending)
-        assert len(state.known) + len(state.pending) == g.n
-        for v, val in state.known.items():
-            assert exact[v] == val
-        kth = sorted(state.known.values(), reverse=True)[q - 1]
-        assert kth == r.entries[q - 1][1]
-        # replay every final skip decision against the final Q-th value
-        for v in state.pending:
-            assert v in trace
-            kind, threshold = trace[v]
-            bound = est_lstat1(g, v) if kind == "est1" else est_lstat2(g, v)
-            assert bound < threshold <= kth
-            assert exact[v] <= bound
 
 
 def test_counters_populated_and_bounded():
