@@ -86,6 +86,17 @@ def test_counters_and_pruning_against_final_threshold(style):
             assert np.all(exact[pruned] < t), (style, q)
 
 
+def test_top_lstat_three_cycle():
+    r = topQ_lstat(tri_graph(), 1)
+    assert r.entries[0][1] == 3
+
+
+def test_top_lstat_empty_candidates_error():
+    # a graph without vertices leaves no candidate to search
+    with pytest.raises(ValueError):
+        topQ_lstat(Graph.from_edges(0, [], []), 1)
+
+
 def test_topq_three_cycle_all_tie():
     r = topQ_lstat(tri_graph(), 3)
     assert result_values(r, 3) == [3, 3, 3]
