@@ -24,6 +24,14 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in sorted keys."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of keys by one sort and an adjacent-difference mask.
 
@@ -31,10 +39,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     than sorting at edge-list sizes.
     """
     keys = np.sort(keys)
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys[_run_starts(keys)]
 
 
 def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,14 +66,17 @@ class Graph:
 
     Vertices are dense integers in [0, n). Out-, in-, and undirected
     adjacency are stored CSR-style with strictly increasing neighbor lists,
-    so membership tests and intersections can be merge-based. Instances are
-    safe to share between any number of concurrent readers.
+    so membership tests and intersections can be merge-based. Each
+    undirected slot also carries its pair's directed multiplicity (1, or 2
+    for a reciprocal pair). Instances are safe to share between any number
+    of concurrent readers.
     """
 
     __slots__ = ("n", "m", "_out_off", "_out_dst", "_in_off", "_in_src",
-                 "_und_off", "_und_dst", "_deg")
+                 "_und_off", "_und_dst", "_und_mult", "_deg", "_und_matrix")
 
-    def __init__(self, n, out_off, out_dst, in_off, in_src, und_off, und_dst):
+    def __init__(self, n, out_off, out_dst, in_off, in_src, und_off, und_dst,
+                 und_mult):
         self.n = int(n)
         self.m = int(out_dst.size)
         self._out_off = out_off
@@ -77,7 +85,9 @@ class Graph:
         self._in_src = in_src
         self._und_off = und_off
         self._und_dst = und_dst
+        self._und_mult = und_mult
         self._deg = (np.diff(out_off) + np.diff(in_off)).astype(np.int64)
+        self._und_matrix = None
 
     @classmethod
     def from_edges(cls, n: int, src, dst) -> "Graph":
@@ -97,12 +107,18 @@ class Graph:
         out_off, out_dst = _csr(n, src, dst)
         order = np.lexsort((src, dst))
         in_off, in_src = _csr(n, dst[order], src[order])
-        # undirected neighbor lists: unique union of both orientations
+        # undirected neighbor lists: unique union of both orientations; the
+        # run length of a pair's key, 1 or 2, is its directed multiplicity
         a = np.concatenate([src, dst])
         b = np.concatenate([dst, src])
-        key = _sorted_unique(a * np.int64(n) + b)
+        keys = np.sort(a * np.int64(n) + b)
+        first = _run_starts(keys)
+        key = keys[first]
+        repeated = np.zeros(keys.size, dtype=bool)  # key equals the next key
+        np.logical_not(first[1:], out=repeated[:-1])
+        und_mult = repeated[first].view(np.int8) + np.int8(1)
         und_off, und_dst = _csr(n, key // n, key % n)
-        return cls(n, out_off, out_dst, in_off, in_src, und_off, und_dst)
+        return cls(n, out_off, out_dst, in_off, in_src, und_off, und_dst, und_mult)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -119,6 +135,19 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted distinct undirected neighbors of v; excludes v itself."""
         return self._und_dst[self._und_off[v]:self._und_off[v + 1]]
+
+    def undirected_matrix(self) -> sp.csr_matrix:
+        """The n x n 0/1 CSR matrix of the undirected view.
+
+        Built on first use and kept for the graph's lifetime; every caller
+        gets the same object and must not modify it. Concurrent first calls
+        may each build it, all with equal contents.
+        """
+        if self._und_matrix is None:
+            self._und_matrix = sp.csr_matrix(
+                (np.ones(self._und_dst.size, dtype=np.int64), self._und_dst,
+                 self._und_off), shape=(self.n, self.n))
+        return self._und_matrix
 
     def degrees(self) -> np.ndarray:
         """Per-vertex in-degree + out-degree (read-only view)."""
@@ -165,11 +194,8 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
     rows = sp.csr_matrix(
         (np.ones(vertices.size, dtype=np.int64), vertices,
          np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
-    und = sp.csr_matrix(
-        (np.ones(g._und_dst.size, dtype=np.int64), g._und_dst, g._und_off),
-        shape=(g.n, g.n))
     for _ in range(k):
-        rows = rows @ und + rows
+        rows = rows @ g.undirected_matrix() + rows
         rows.data.fill(1)
     rows.sort_indices()
     return rows

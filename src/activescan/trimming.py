@@ -1,20 +1,21 @@
 """Top-Q search for the order-1 locality statistic with bound-based pruning.
 
 The search computes the exact statistic on as few vertices as possible.
-Both upper bounds are computed for every vertex up front, and vertices
-are visited once in descending order of the smaller bound b(v). A
-size-Q min-heap holds the largest exact values seen; the search stops at
-the first vertex whose bound is strictly below the heap's minimum, since
-no later vertex can enter the top Q. A bound equal to the running Q-th
-value is never pruned, so ties at the Q-th position are always
-discovered, and the computed vertices are exactly {v : b(v) >= t} for t
-the final Q-th value.
+Both upper bounds are computed for every vertex up front, and b(v) is the
+smaller. The search runs in rounds over `known`: the exact value where
+computed, b elsewhere. Each round takes U, the Q-th largest value of
+known, and evaluates every uncomputed vertex with b(v) >= U in one call
+of the order-1 kernel (locality.psi1_rows); it stops when no such vertex
+remains. Known values only fall, so U never rises and never drops below
+t, the final Q-th value: the computed vertices are exactly
+{v : b(v) >= t}, the stop rule of the threshold algorithm (Fagin, Lotem &
+Naor, 2001). A bound equal to U is never pruned, so ties at the Q-th
+position are always discovered.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import time
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph
-from .locality import VertexMarker, _local_stat_value, psi_all
+from .locality import oriented_pairs, psi1_rows, psi_all
 
 
 @dataclass
@@ -88,25 +89,27 @@ def topQ_lstat(g: Graph, q: int) -> TopQResult:
     _check_q(g, q)
     b1, b2 = _bounds(g)
     bound = np.minimum(b1, b2)
-    order = np.lexsort((np.arange(g.n), -bound))
-    marker = VertexMarker(g.n)
-    heap: list[int] = []  # the Q largest exact values so far, smallest first
-    computed: list[int] = []
-    values: list[int] = []
-    for v, b in zip(order.tolist(), bound[order].tolist()):
-        if len(heap) == q and b < heap[0]:
+    order = np.argsort(-bound)
+    falling = bound[order]
+    rising = -falling
+    lm = oriented_pairs(g)
+    top = falling[:0]  # the Q largest exact values so far
+    values = []
+    done = 0  # order[:done] is computed
+    while True:
+        # the Q largest known values are among top and the next Q bounds
+        known = np.concatenate((top, falling[done:done + q]))
+        t = np.partition(known, known.size - q)[known.size - q]
+        end = int(np.searchsorted(rising, -t, side="right"))
+        if end == done:
             break
-        val = _local_stat_value(g, v, marker)
-        computed.append(v)
-        values.append(val)
-        if len(heap) < q:
-            heapq.heappush(heap, val)
-        elif val > heap[0]:
-            heapq.heapreplace(heap, val)
-    t = heap[0]
+        values.append(psi1_rows(g, order[done:end], lm))
+        top = np.concatenate((top, values[-1]))
+        top = np.partition(top, top.size - q)[-q:]
+        done = end
     return TopQResult(
-        entries=_make_entries(computed, values, q),
-        computed_count=len(computed),
+        entries=_make_entries(order[:done], np.concatenate(values), q),
+        computed_count=done,
         est1_count=int(np.count_nonzero(b1 >= t)),
         est2_count=int(np.count_nonzero(b2 >= t)),
         wall_ms=(time.perf_counter() - t0) * 1e3,

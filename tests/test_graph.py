@@ -7,7 +7,8 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         read_binary, write_binary, write_edge_list)
-from activescan.graph import _fast_pairs, _loop_pairs, _sorted_unique
+from activescan.graph import (_fast_pairs, _loop_pairs, _sorted_unique,
+                              closed_neighborhood_rows)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        tri_graph, undirected_adj)
 
@@ -168,6 +169,37 @@ def test_neighborhood_matches_set_bfs_on_hub_graphs(family):
     for v in range(g.n):
         for k in (1, 2, 3):
             assert neighborhood(g, v, k).tolist() == sorted(bfs_set(adj, v, k))
+
+
+@pytest.mark.parametrize("family", HUB_FAMILIES)
+def test_undirected_matrix_is_built_once(family):
+    g, src, dst = HUB_FAMILIES[family]()
+    rows = closed_neighborhood_rows(g, np.arange(g.n), 2)
+    und = g.undirected_matrix()
+    assert g.undirected_matrix() is und
+    adj = undirected_adj(g.n, src, dst)
+    # later calls read the cached matrix and leave it as it was
+    again = closed_neighborhood_rows(g, np.arange(g.n), 2)
+    assert again.dtype == rows.dtype
+    for a, b in ((again.indptr, rows.indptr), (again.indices, rows.indices),
+                 (again.data, rows.data)):
+        assert np.array_equal(a, b)
+    assert g.undirected_matrix() is und
+    assert np.array_equal(np.diff(und.indptr), [len(a) for a in adj])
+    for v in range(g.n):
+        assert und.indices[und.indptr[v]:und.indptr[v + 1]].tolist() == sorted(adj[v])
+    assert (und.data == 1).all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_undirected_slots_carry_pair_multiplicity(seed):
+    g, src, dst = er_graph(40, 0.15, seed)  # many reciprocal pairs
+    directed = set(zip(src.tolist(), dst.tolist()))
+    for v in range(g.n):
+        got = g._und_mult[g._und_off[v]:g._und_off[v + 1]].tolist()
+        want = [((v, z) in directed) + ((z, v) in directed) for z in g.neighbors(v).tolist()]
+        assert got == want
+    assert int(g._und_mult.sum()) == 2 * g.m
 
 
 def test_induced_edge_count_cases():

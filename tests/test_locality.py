@@ -3,7 +3,9 @@ import pytest
 
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
-from _testutil import HUB_FAMILIES, er_graph, psi_oracle, tri_graph
+from activescan.locality import oriented_pairs, psi1_rows
+from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph,
+                       psi_oracle, tri_graph, triangles_graph)
 
 
 def out_star(leaves: int) -> Graph:
@@ -62,6 +64,63 @@ def test_psi_all_matches_per_vertex_on_sbm(k):
     sweep = psi_all(g, k)
     for v in range(g.n):
         assert sweep[v] == psi_k(g, v, k).value
+
+
+def reciprocal_graph():
+    """Reciprocal pairs (multiplicity 2) in and around triangles; 4 and 8 isolated."""
+    src = [0, 1, 1, 2, 0, 2, 3, 5, 6, 6, 7, 5, 3]
+    dst = [1, 0, 2, 1, 2, 3, 0, 6, 5, 7, 6, 7, 1]
+    return (Graph.from_edges(9, src, dst), np.array(src), np.array(dst))
+
+
+def kernel_graphs(style):
+    if style in HUB_FAMILIES:
+        return [HUB_FAMILIES[style]()]
+    if style == "er":
+        return [er_graph(90, 0.03 + 0.03 * s, s + 70) for s in range(3)]
+    if style == "clique":
+        return [planted_clique_graph(80, 0.04, 7, s + 50) for s in range(3)]
+    if style == "ties":
+        return [triangles_graph(30)]
+    return [reciprocal_graph()]
+
+
+@pytest.mark.parametrize("style", ["er", "clique", "ties", "reciprocal", *HUB_FAMILIES])
+def test_psi1_kernel_matches_raw_edge_oracle(style):
+    for g, src, dst in kernel_graphs(style):
+        want = np.array([psi_oracle(g.n, src, dst, v, 1) for v in range(g.n)])
+        assert np.array_equal(psi_all(g, 1), want)
+        assert np.array_equal(psi1_rows(g, np.arange(g.n)), want)
+        rng = np.random.default_rng(g.n)
+        lm = oriented_pairs(g)
+        for size in (0, 1, g.n // 3, g.n):
+            rows = rng.choice(g.n, size, replace=False)
+            got = psi1_rows(g, rows, lm)
+            assert got.dtype == np.int64 and got.tolist() == want[rows].tolist()
+
+
+def test_psi1_kernel_empty_rows_and_graph():
+    g = reciprocal_graph()[0]
+    assert psi1_rows(g, []).tolist() == []
+    empty = Graph.from_edges(0, [], [])
+    assert psi1_rows(empty, []).tolist() == []
+    assert psi_all(empty, 1).tolist() == []
+    with pytest.raises(ValueError):
+        psi1_rows(g, [g.n])
+
+
+def test_oriented_pairs_hold_each_pair_once_towards_higher_rank():
+    g = reciprocal_graph()[0]
+    lm = oriented_pairs(g).toarray()
+    size = np.diff(g._und_off)
+    for a in range(g.n):
+        for z in range(g.n):
+            if z in g.neighbors(a):
+                mult = int(z in g.out_neighbors(a)) + int(a in g.out_neighbors(z))
+                upward = (size[a], a) < (size[z], z)
+                assert lm[a, z] == (mult if upward else 0)
+            else:
+                assert lm[a, z] == 0
 
 
 def test_psi_all_k0_is_degrees():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from activescan import (Graph, est_lstat1, est_lstat2, generate_sbm,
                         paper_params, psi_all, read_trim_report, topQ_lstat,
                         topQ_lstat_parallel, topQ_sweep, write_trim_report)
 from activescan.trimming import _bounds
-from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, tri_graph,
-                       triangles_graph)
+from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, star_graph,
+                       tri_graph, triangles_graph)
 
 
 def brute_topq_values(g, q):
@@ -221,3 +223,16 @@ def test_trim_report_roundtrip(fmt, tmp_path):
     assert back.computed_count == r.computed_count
     assert back.est1_count == r.est1_count
     assert back.est2_count == r.est2_count
+
+
+def test_hub_sweep_and_search_memory_is_bounded():
+    # a leaf row that pulled in the hub's list would hold ~n^2 entries
+    for run in (lambda g: psi_all(g, 1), lambda g: topQ_lstat(g, g.n // 10)):
+        g = star_graph(3000)[0]
+        tracemalloc.start()
+        try:
+            run(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
