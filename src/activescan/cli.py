@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,31 +35,6 @@ from .spectral import (auto_sigma, classical_mds, eigengap_floor_applied,
                        normalized_affinity_spectrum, rbf_affinity,
                        spectral_cluster)
 from .trimming import topQ_lstat_parallel, topQ_sweep, write_trim_report
-
-
-@dataclass
-class PipelineConfig:
-    """Effective configuration of the end-to-end detect pipeline."""
-
-    input: str
-    out: str
-    k: int = 1
-    q: int = 2000
-    similarity_k: int | None = None
-    sigma: float | None = None
-    clusters: int | None = None
-    max_clusters: int = 10
-    workers: int = 1
-    seed: int = 0
-    emit_similarity: bool = False
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("Q must be >= 1")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _default_workers() -> int:
@@ -134,41 +108,46 @@ DETECT_DEFAULTS = dict(input=None, out="out", k=1, q=2000, similarity_k=None,
 
 
 def _cmd_detect(args) -> int:
-    cfg_map = _merge_config(args, DETECT_DEFAULTS)
-    if cfg_map["workers"] is None:
-        cfg_map["workers"] = _default_workers()
+    cfg = _merge_config(args, DETECT_DEFAULTS)
+    if cfg["workers"] is None:
+        cfg["workers"] = _default_workers()
     if args.dump_config:
-        print(json.dumps(cfg_map, indent=2))
-    if not cfg_map["input"]:
+        print(json.dumps(cfg, indent=2))
+    if not cfg["input"]:
         raise ValueError("--input is required")
-    cfg = PipelineConfig(**cfg_map)
+    if cfg["q"] < 1:
+        raise ValueError("Q must be >= 1")
+    if cfg["k"] < 0:
+        raise ValueError("k must be >= 0")
+    if cfg["workers"] < 1:
+        raise ValueError("workers must be >= 1")
 
-    in_path = Path(cfg.input)
+    in_path = Path(cfg["input"])
     if not in_path.exists():
         raise FileNotFoundError(f"input graph not found: {in_path}")
-    out_dir = Path(cfg.out)
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     g = load_edge_list(in_path)
-    if cfg.k == 1:
-        result = topQ_lstat_parallel(g, cfg.q, cfg.workers)
+    if cfg["k"] == 1:
+        result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"])
     else:  # the bound-driven search is order-1 only
-        result = topQ_sweep(g, cfg.q, cfg.k)
-    _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg.k}"],
+        result = topQ_sweep(g, cfg["q"], cfg["k"])
+    _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg['k']}"],
                [(v, val) for v, val in result.entries])
 
-    selected = np.array([v for v, _ in result.entries[:cfg.q]], dtype=np.int64)
-    sim_k = cfg.similarity_k if cfg.similarity_k is not None else max(cfg.k, 1)
+    selected = np.array([v for v, _ in result.entries[:cfg["q"]]], dtype=np.int64)
+    sim_k = cfg["similarity_k"] if cfg["similarity_k"] is not None else max(cfg["k"], 1)
     sim = build_similarity_matrix(g, selected, sim_k)
-    if cfg.emit_similarity:
+    if cfg["emit_similarity"]:
         write_similarity_csv(sim, out_dir / "similarity.csv")
 
-    sigma = cfg.sigma if cfg.sigma is not None else auto_sigma(sim.values)
+    sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
     w = rbf_affinity(sim, sigma)
-    max_c = min(cfg.max_clusters, sim.order)
+    max_c = min(cfg["max_clusters"], sim.order)
     floor_applied = False
-    if cfg.clusters is not None:
-        num_clusters = cfg.clusters
+    if cfg["clusters"] is not None:
+        num_clusters = cfg["clusters"]
     elif sim.order < 2 or max_c < 2:
         num_clusters, floor_applied = 1, False
     else:
@@ -176,7 +155,7 @@ def _cmd_detect(args) -> int:
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
     assignment, diag = spectral_cluster(
-        w, num_clusters, derive_seed(cfg.seed, "spectral"), vertices=selected)
+        w, num_clusters, derive_seed(cfg["seed"], "spectral"), vertices=selected)
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
                zip(assignment.vertices.tolist(), assignment.labels.tolist()))
 
@@ -188,7 +167,7 @@ def _cmd_detect(args) -> int:
                 for v, (x, y) in zip(selected, coords)])
 
     diagnostics = {
-        "n": g.n, "m": g.m, "q": cfg.q, "k": cfg.k, "similarity_k": sim_k,
+        "n": g.n, "m": g.m, "q": cfg["q"], "k": cfg["k"], "similarity_k": sim_k,
         "sigma": sigma, "num_clusters": int(num_clusters),
         "cluster_floor_applied": bool(floor_applied),
         "eigenvalues": [float(x) for x in diag.eigenvalues],
@@ -199,7 +178,7 @@ def _cmd_detect(args) -> int:
         "est1_count": result.est1_count,
         "est2_count": result.est2_count,
         "trim_wall_ms": result.wall_ms,
-        "seed": cfg.seed, "workers": cfg.workers,
+        "seed": cfg["seed"], "workers": cfg["workers"],
     }
     (out_dir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
     return 0

@@ -24,14 +24,6 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values in sorted keys."""
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of keys by one sort and an adjacent-difference mask.
 
@@ -39,7 +31,10 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     than sorting at edge-list sizes.
     """
     keys = np.sort(keys)
-    return keys[_run_starts(keys)]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,40 +49,32 @@ def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uniq // n, uniq % n
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR offsets/targets from edge rows already sorted by (row, col)."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return offsets, cols.astype(np.int64, copy=False)
-
-
 class Graph:
     """Immutable directed graph without self-loops or duplicate edges.
 
-    Vertices are dense integers in [0, n). Out-, in-, and undirected
-    adjacency are stored CSR-style with strictly increasing neighbor lists,
-    so membership tests and intersections can be merge-based. Each
-    undirected slot also carries its pair's directed multiplicity (1, or 2
-    for a reciprocal pair). Instances are safe to share between any number
-    of concurrent readers.
+    Vertices are dense integers in [0, n). The graph is two n x n scipy CSR
+    matrices with strictly increasing column indices per row: A, the
+    directed 0/1 adjacency (row v holds the out-neighbors of v), and
+    M = A + A^T, the undirected view, whose value at (v, z) is the pair's
+    directed multiplicity (1, or 2 for a reciprocal pair). Both are built
+    in O(n + m) from sorted rows: scipy forms A^T by a counting transpose
+    and merges sorted rows into M. In-neighbors, degrees and the unit
+    undirected matrix are derived from A and M. Instances are safe to
+    share between any number of concurrent readers.
     """
 
-    __slots__ = ("n", "m", "_out_off", "_out_dst", "_in_off", "_in_src",
-                 "_und_off", "_und_dst", "_und_mult", "_deg", "_und_matrix")
+    __slots__ = ("n", "m", "_adj", "_und", "_deg")
 
-    def __init__(self, n, out_off, out_dst, in_off, in_src, und_off, und_dst,
-                 und_mult):
+    def __init__(self, n, offsets, targets):
+        """Graph on n vertices from CSR rows that are sorted, loop-free and
+        free of repeats (what from_edges and read_binary guarantee)."""
         self.n = int(n)
-        self.m = int(out_dst.size)
-        self._out_off = out_off
-        self._out_dst = out_dst
-        self._in_off = in_off
-        self._in_src = in_src
-        self._und_off = und_off
-        self._und_dst = und_dst
-        self._und_mult = und_mult
-        self._deg = (np.diff(out_off) + np.diff(in_off)).astype(np.int64)
-        self._und_matrix = None
+        self._adj = sp.csr_matrix(
+            (np.ones(len(targets), dtype=np.int8), targets, offsets),
+            shape=(self.n, self.n))
+        self._und = self._adj + self._adj.T
+        self.m = int(self._adj.nnz)
+        self._deg = np.asarray(self._und.sum(axis=1), dtype=np.int64).ravel()
 
     @classmethod
     def from_edges(cls, n: int, src, dst) -> "Graph":
@@ -104,21 +91,9 @@ class Graph:
                          or src.max() >= n or dst.max() >= n):
             raise ValueError(f"edge endpoint out of range for n={n}")
         src, dst = _clean_edges(src, dst)
-        out_off, out_dst = _csr(n, src, dst)
-        order = np.lexsort((src, dst))
-        in_off, in_src = _csr(n, dst[order], src[order])
-        # undirected neighbor lists: unique union of both orientations; the
-        # run length of a pair's key, 1 or 2, is its directed multiplicity
-        a = np.concatenate([src, dst])
-        b = np.concatenate([dst, src])
-        keys = np.sort(a * np.int64(n) + b)
-        first = _run_starts(keys)
-        key = keys[first]
-        repeated = np.zeros(keys.size, dtype=bool)  # key equals the next key
-        np.logical_not(first[1:], out=repeated[:-1])
-        und_mult = repeated[first].view(np.int8) + np.int8(1)
-        und_off, und_dst = _csr(n, key // n, key % n)
-        return cls(n, out_off, out_dst, in_off, in_src, und_off, und_dst, und_mult)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return cls(n, offsets, dst)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -126,44 +101,34 @@ class Graph:
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Sorted out-neighbors of v (zero-copy view)."""
-        return self._out_dst[self._out_off[v]:self._out_off[v + 1]]
+        return self._adj.indices[self._adj.indptr[v]:self._adj.indptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        """Sorted in-neighbors of v (zero-copy view)."""
-        return self._in_src[self._in_off[v]:self._in_off[v + 1]]
+        """Sorted in-neighbors of v, derived from row v of M in O(deg)."""
+        lo, hi = self._und.indptr[v], self._und.indptr[v + 1]
+        nb = self._und.indices[lo:hi]
+        # a neighbor points at v unless it is an out-neighbor of v only
+        return nb[(self._und.data[lo:hi] == 2) | ~np.isin(nb, self.out_neighbors(v))]
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted distinct undirected neighbors of v; excludes v itself."""
-        return self._und_dst[self._und_off[v]:self._und_off[v + 1]]
-
-    def undirected_matrix(self) -> sp.csr_matrix:
-        """The n x n 0/1 CSR matrix of the undirected view.
-
-        Built on first use and kept for the graph's lifetime; every caller
-        gets the same object and must not modify it. Concurrent first calls
-        may each build it, all with equal contents.
-        """
-        if self._und_matrix is None:
-            self._und_matrix = sp.csr_matrix(
-                (np.ones(self._und_dst.size, dtype=np.int64), self._und_dst,
-                 self._und_off), shape=(self.n, self.n))
-        return self._und_matrix
+        return self._und.indices[self._und.indptr[v]:self._und.indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex in-degree + out-degree (read-only view)."""
+        """Per-vertex in-degree + out-degree, the row sums of M (read-only view)."""
         return self._deg
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All directed edges as (src, dst), sorted by (src, dst)."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._out_off))
-        return src, self._out_dst.copy()
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._adj.indptr))
+        return src, self._adj.indices.astype(np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n and self.m == other.m
-                and np.array_equal(self._out_off, other._out_off)
-                and np.array_equal(self._out_dst, other._out_dst))
+                and np.array_equal(self._adj.indptr, other._adj.indptr)
+                and np.array_equal(self._adj.indices, other._adj.indices))
 
     __hash__ = None
 
@@ -183,8 +148,8 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
     Row i of the returned len(vertices) x n 0/1 CSR matrix marks
     N_k[vertices[i]] on the undirected view, centre included, with sorted
     column indices. The rows grow from the identity rows by k frontier
-    expansions r <- r @ A_und + r, so only the requested rows are ever
-    materialised.
+    expansions r <- r @ M + r, with the values clipped back to 1 after
+    each, so only the requested rows are ever materialised.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     if k < 0:
@@ -195,7 +160,7 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
         (np.ones(vertices.size, dtype=np.int64), vertices,
          np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
     for _ in range(k):
-        rows = rows @ g.undirected_matrix() + rows
+        rows = rows @ g._und + rows
         rows.data.fill(1)
     rows.sort_indices()
     return rows
@@ -212,11 +177,12 @@ def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:
 
 def _out_targets(g: Graph, members: np.ndarray) -> np.ndarray:
     """Targets of every out-edge of the members, gathered in one pass."""
-    lo = g._out_off[members]
-    lens = g._out_off[members + 1] - lo
+    offsets = g._adj.indptr
+    lo = offsets[members]
+    lens = offsets[members + 1] - lo
     # gather slot p of member r maps to CSR index p + lo[r] - (slots before r)
     shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
-    return g._out_dst[shift + np.arange(int(lens.sum()))]
+    return g._adj.indices[shift + np.arange(int(lens.sum()))]
 
 
 def induced_edge_count(g: Graph, s) -> int:
@@ -339,8 +305,8 @@ def write_binary(g: Graph, path) -> None:
     """Write the binary graph format (see module header for the layout)."""
     with open(path, "wb") as fh:
         np.array([g.n, g.m], dtype=_BIN_DTYPE).tofile(fh)
-        g._out_off.astype(_BIN_DTYPE).tofile(fh)
-        g._out_dst.astype(_BIN_DTYPE).tofile(fh)
+        g._adj.indptr.astype(_BIN_DTYPE).tofile(fh)
+        g._adj.indices.astype(_BIN_DTYPE).tofile(fh)
 
 
 def read_binary(path) -> Graph:
@@ -376,4 +342,4 @@ def read_binary(path) -> Graph:
     bad = np.flatnonzero(src == targets)
     if bad.size:
         raise ValueError(f"row {src[bad[0]]} has a self-loop at out_targets[{bad[0]}]")
-    return Graph.from_edges(n, src, targets)
+    return Graph(n, offsets, targets)

@@ -8,15 +8,20 @@ Order 1 has an exact kernel over any set of rows C:
 
     psi_1[C] = deg[C] + rowsum((U[C] @ LM) * U[C])
 
-U is the undirected 0/1 adjacency. LM holds each undirected pair once,
-oriented from its lower- to its higher-ranked end by (undirected degree,
-id), with the pair's directed multiplicity (1 or 2) as its value. deg
+U is the undirected 0/1 adjacency, a unit-valued view of the graph's
+M = A + A^T. LM holds each undirected pair once, oriented from its lower-
+to its higher-ranked end by (undirected degree, id), with the pair's
+directed multiplicity (1 or 2, the value in M) as its value. deg
 counts the edges at v; every adjacent pair of neighbors {a, z} is counted
 once, from its lower-ranked end, with weight M. A hub ranks highest, so
 its LM row is empty and no neighbor's row drags in its list: the work is
 O(m sqrt(m)) (degree-ordered triangle counting, Schank & Wagner 2005),
 with no sum-of-deg^2 intermediate. The full order-1 sweep and the top-Q
 search both use it; local_stat is the independent scalar reference.
+
+The two upper bounds that the search ranks vertices by are here too:
+est_lstat1 and est_lstat2 for one vertex, and _bounds for every vertex
+in O(n + m).
 """
 
 from __future__ import annotations
@@ -109,20 +114,41 @@ def est_lstat2(g: Graph, v: int) -> int:
     return total // 2
 
 
+def _bounds(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """est_lstat1 and est_lstat2 of every vertex, in O(n + m)."""
+    deg = g.degrees()
+    off, nb = g._und.indptr, g._und.indices
+    sizes = np.diff(off)
+    cap = 2 * (sizes + 1)
+    # capped degree of every neighbor slot, summed per row by prefix sums
+    capped = np.minimum(deg[nb], np.repeat(cap, sizes))
+    prefix = np.concatenate(([0], np.cumsum(capped)))
+    total = np.minimum(deg, cap) + prefix[off[1:]] - prefix[off[:-1]]
+    return deg * deg + deg, total // 2
+
+
 def oriented_pairs(g: Graph) -> sp.csr_matrix:
     """LM of the order-1 kernel: each undirected pair once, with its multiplicity.
 
     Row a holds the neighbors z that rank above a by (undirected degree,
     id), valued by the number of directed edges between a and z. Built in
-    O(n + m) by masking the undirected CSR, so columns stay sorted.
+    O(n + m) by masking M, so columns stay sorted.
     """
-    size = np.diff(g._und_off)
+    off, nb = g._und.indptr, g._und.indices
+    size = np.diff(off)
     rank = size * np.int64(g.n) + np.arange(g.n)
-    up = np.repeat(rank, size) < rank[g._und_dst]
-    offsets = np.concatenate(([0], np.cumsum(up)))[g._und_off]
+    up = np.repeat(rank, size) < rank[nb]
+    offsets = np.concatenate(([0], np.cumsum(up)))[off]
     kept = np.flatnonzero(up)
-    return sp.csr_matrix((g._und_mult[kept].astype(np.int64), g._und_dst[kept], offsets),
+    return sp.csr_matrix((g._und.data[kept].astype(np.int64), nb[kept], offsets),
                          shape=(g.n, g.n))
+
+
+def _unit(g: Graph) -> sp.csr_matrix:
+    """U: M with every value 1, sharing M's index arrays."""
+    und = g._und
+    return sp.csr_matrix((np.ones(und.nnz, dtype=np.int8), und.indices, und.indptr),
+                         shape=und.shape)
 
 
 def _psi1(deg: np.ndarray, rows: sp.csr_matrix, lm: sp.csr_matrix) -> np.ndarray:
@@ -141,7 +167,7 @@ def psi1_rows(g: Graph, vertices, lm: sp.csr_matrix | None = None) -> np.ndarray
         raise ValueError(f"vertex out of range [0, {g.n})")
     if lm is None:
         lm = oriented_pairs(g)
-    return _psi1(g.degrees()[vertices], g.undirected_matrix()[vertices], lm)
+    return _psi1(g.degrees()[vertices], _unit(g)[vertices], lm)
 
 
 def psi_all(g: Graph, k: int) -> np.ndarray:
@@ -154,10 +180,7 @@ def psi_all(g: Graph, k: int) -> np.ndarray:
     if k == 0:
         return g.degrees().copy()
     if k == 1:
-        return _psi1(g.degrees(), g.undirected_matrix(), oriented_pairs(g))
-    n = g.n
-    reach = closed_neighborhood_rows(g, np.arange(n), k)
-    adj = sp.csr_matrix(
-        (np.ones(g.m, dtype=np.int64), g._out_dst, g._out_off), shape=(n, n))
-    inside = (reach @ adj).multiply(reach)
+        return _psi1(g.degrees(), _unit(g), oriented_pairs(g))
+    reach = closed_neighborhood_rows(g, np.arange(g.n), k)
+    inside = (reach @ g._adj).multiply(reach)
     return np.asarray(inside.sum(axis=1)).ravel().astype(np.int64)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph
-from .locality import oriented_pairs, psi1_rows, psi_all
+from .locality import _bounds, oriented_pairs, psi1_rows, psi_all
 
 
 @dataclass
@@ -48,18 +48,6 @@ class TopQResult:
 
     def values(self) -> list[int]:
         return [v for _, v in self.entries]
-
-
-def _bounds(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """est_lstat1 and est_lstat2 of every vertex, in O(n + m)."""
-    deg = g.degrees()
-    sizes = np.diff(g._und_off)
-    cap = 2 * (sizes + 1)
-    # capped degree of every neighbor slot, summed per row by prefix sums
-    capped = np.minimum(deg[g._und_dst], np.repeat(cap, sizes))
-    prefix = np.concatenate(([0], np.cumsum(capped)))
-    total = np.minimum(deg, cap) + prefix[g._und_off[1:]] - prefix[g._und_off[:-1]]
-    return deg * deg + deg, total // 2
 
 
 def _make_entries(vertices, values, q: int) -> list[tuple[int, int]]:

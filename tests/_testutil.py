@@ -107,6 +107,21 @@ def undirected_adj(n: int, src, dst) -> list[set]:
     return adj
 
 
+def raw_views(n: int, src, dst) -> tuple[list, list, list, list]:
+    """Sorted out-, in- and undirected neighbor lists of every vertex, and
+    each undirected neighbor's pair multiplicity (1, or 2 when both
+    directed edges exist); self-loops and repeated edges are dropped."""
+    out = [set() for _ in range(n)]
+    inn = [set() for _ in range(n)]
+    for a, b in zip(src, dst):
+        if a != b:
+            out[int(a)].add(int(b))
+            inn[int(b)].add(int(a))
+    und = [sorted(out[v] | inn[v]) for v in range(n)]
+    mult = [[(z in out[v]) + (z in inn[v]) for z in und[v]] for v in range(n)]
+    return [sorted(s) for s in out], [sorted(s) for s in inn], und, mult
+
+
 def bfs_set(adj: list[set], v: int, k: int) -> set:
     seen = {v}
     frontier = {v}

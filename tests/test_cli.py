@@ -45,6 +45,19 @@ def test_detect_missing_input_reports_error_json(tmp_path, capsys):
     assert "absent.edges" in err["path"]
 
 
+def test_detect_rejects_bad_q_k_and_workers(tmp_path, capsys):
+    out = tmp_path / "out"
+    for flag, value, message in (("--Q", "0", "Q must be >= 1"),
+                                 ("--k", "-1", "k must be >= 0"),
+                                 ("--workers", "0", "workers must be >= 1")):
+        rc = main(["detect", "--input", str(write_tri(tmp_path)), "--out", str(out),
+                   flag, value])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+    assert not out.exists()  # rejected before any output is written
+
+
 def test_topq_full_q_computes_everything(tmp_path):
     g, _, _ = er_graph(100, 0.05, 1)
     from activescan import write_edge_list

@@ -1,16 +1,17 @@
 import io
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
-                        read_binary, write_binary, write_edge_list)
+                        psi_all, read_binary, write_binary, write_edge_list)
 from activescan.graph import (_fast_pairs, _loop_pairs, _sorted_unique,
                               closed_neighborhood_rows)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
-                       tri_graph, undirected_adj)
+                       pa_graph, raw_views, tri_graph, undirected_adj)
 
 
 def test_load_three_cycle():
@@ -173,33 +174,90 @@ def test_neighborhood_matches_set_bfs_on_hub_graphs(family):
 
 @pytest.mark.parametrize("family", HUB_FAMILIES)
 def test_undirected_matrix_is_built_once(family):
+    # M is built with the graph; later calls read it and leave it as it was
     g, src, dst = HUB_FAMILIES[family]()
     rows = closed_neighborhood_rows(g, np.arange(g.n), 2)
-    und = g.undirected_matrix()
-    assert g.undirected_matrix() is und
-    adj = undirected_adj(g.n, src, dst)
-    # later calls read the cached matrix and leave it as it was
+    und = g._und
     again = closed_neighborhood_rows(g, np.arange(g.n), 2)
     assert again.dtype == rows.dtype
     for a, b in ((again.indptr, rows.indptr), (again.indices, rows.indices),
                  (again.data, rows.data)):
         assert np.array_equal(a, b)
-    assert g.undirected_matrix() is und
+    adj = undirected_adj(g.n, src, dst)
     assert np.array_equal(np.diff(und.indptr), [len(a) for a in adj])
+    _, _, _, mult = raw_views(g.n, src, dst)
     for v in range(g.n):
         assert und.indices[und.indptr[v]:und.indptr[v + 1]].tolist() == sorted(adj[v])
-    assert (und.data == 1).all()
+        assert und.data[und.indptr[v]:und.indptr[v + 1]].tolist() == mult[v]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_undirected_slots_carry_pair_multiplicity(seed):
     g, src, dst = er_graph(40, 0.15, seed)  # many reciprocal pairs
     directed = set(zip(src.tolist(), dst.tolist()))
+    und = g._und
     for v in range(g.n):
-        got = g._und_mult[g._und_off[v]:g._und_off[v + 1]].tolist()
+        got = und.data[und.indptr[v]:und.indptr[v + 1]].tolist()
         want = [((v, z) in directed) + ((z, v) in directed) for z in g.neighbors(v).tolist()]
         assert got == want
-    assert int(g._und_mult.sum()) == 2 * g.m
+    assert int(und.data.sum()) == 2 * g.m
+
+
+def view_cases():
+    cases = {name: build() for name, build in HUB_FAMILIES.items()}
+    for seed in range(3):
+        cases[f"er{seed}"] = er_graph(40, 0.15, seed)  # many reciprocal pairs
+    # a self-loop, a repeated edge, a reciprocal pair; 3, 4, 6, 7 isolated
+    src = np.array([0, 1, 1, 2, 5, 5, 0])
+    dst = np.array([1, 0, 2, 0, 2, 5, 1])
+    cases["isolated"] = (Graph.from_edges(8, src, dst), src, dst)
+    return cases
+
+
+VIEW_CASES = view_cases()
+
+
+def assert_views_match_raw_edges(g, src, dst):
+    out, inn, und, mult = raw_views(g.n, src, dst)
+    assert g.m == sum(len(row) for row in out)
+    for v in range(g.n):
+        assert g.out_neighbors(v).tolist() == out[v]
+        assert g.in_neighbors(v).tolist() == inn[v]
+        assert g.neighbors(v).tolist() == und[v]
+        lo, hi = g._und.indptr[v], g._und.indptr[v + 1]
+        assert g._und.data[lo:hi].tolist() == mult[v]
+    assert g.degrees().tolist() == [len(out[v]) + len(inn[v]) for v in range(g.n)]
+
+
+@pytest.mark.parametrize("case", VIEW_CASES)
+@pytest.mark.parametrize("build", ["from_edges", "load_edge_list", "read_binary"])
+def test_every_view_matches_raw_edges(tmp_path, case, build):
+    g, src, dst = VIEW_CASES[case]
+    if build == "load_edge_list":
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist())))
+        g, ids = load_edge_list(path, with_mapping=True)
+        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    elif build == "read_binary":
+        write_binary(g, tmp_path / "g.bin")
+        g = read_binary(tmp_path / "g.bin")
+    assert_views_match_raw_edges(g, src, dst)
+
+
+def test_graph_memory_per_edge_is_bounded():
+    # A and M with int32 indices and int8 values, plus the degree array,
+    # and nothing the order-1 sweep leaves behind
+    n = 20_000
+    _, src, dst = pa_graph(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = Graph.from_edges(n, src, dst)
+        psi_all(g, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * g.m, held / g.m
 
 
 def test_induced_edge_count_cases():
@@ -233,7 +291,8 @@ def test_transpose_consistency(n, p, seed):
     # every out edge appears in the in-list of its target
     order = np.lexsort((src, dst))
     by_dst_src = src[order]
-    assert np.array_equal(by_dst_src, g._in_src)
+    in_lists = [g.in_neighbors(v) for v in range(n)]
+    assert np.array_equal(by_dst_src, np.concatenate(in_lists))
 
 
 def test_adjacency_strictly_increasing():

@@ -6,7 +6,7 @@ import pytest
 from activescan import (Graph, est_lstat1, est_lstat2, generate_sbm,
                         paper_params, psi_all, read_trim_report, topQ_lstat,
                         topQ_lstat_parallel, topQ_sweep, write_trim_report)
-from activescan.trimming import _bounds
+from activescan.locality import _bounds
 from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, star_graph,
                        tri_graph, triangles_graph)
 
