@@ -1,7 +1,10 @@
 """Command-line interface: detect, topq, sbm, eval, bench-trim.
 
-Option precedence is flags > --config file > defaults. All randomness
-flows from --seed; per-stage seeds are derived by labeled hashing.
+Each command's options are declared once, in OPTIONS, which drives the
+parser, the defaults, the config-file keys and --dump-config. Option
+precedence is flags > --config file > defaults, and each config-file value
+is type-checked against its option's entry. All randomness flows from
+--seed; per-stage seeds are derived by labeled hashing.
 ACTIVE_SCAN_THREADS (a positive integer) supplies the default of
 --workers, which sizes eval's Monte-Carlo process pool; topq, detect and
 bench-trim accept it but always search in one thread, with identical
@@ -21,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,40 +43,97 @@ from .trimming import topQ_lstat_parallel, topQ_sweep, write_trim_report
 
 def _default_workers() -> int:
     env = os.environ.get("ACTIVE_SCAN_THREADS")
-    if not env:
-        return 1
     try:
-        workers = int(env)
+        workers = int(env or 1)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(
-            f"ACTIVE_SCAN_THREADS must be a positive integer, got {env!r}")
+        raise ValueError(f"ACTIVE_SCAN_THREADS must be a positive integer, got {env!r}")
     return workers
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; flags left at None fall through."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_cfg = json.loads(Path(config_path).read_text())
-        unknown = set(file_cfg) - set(defaults)
+INT = dict(type=int)
+SWITCH = dict(action="store_const", const=True)
+Q = dict(INT, flag="--Q")
+
+# command -> config key -> (default, add_argument kwargs), in --dump-config
+# order. The flag is --key with dashes unless the kwargs name one; an absent
+# flag stays None and falls through to the --config file, then the default.
+OPTIONS = {
+    "detect": {
+        "input": (None, {}), "out": ("out", {}), "k": (1, INT), "q": (2000, Q),
+        "similarity_k": (None, INT), "sigma": (None, dict(type=float)),
+        "clusters": (None, INT), "max_clusters": (10, INT), "workers": (None, INT),
+        "seed": (0, INT), "emit_similarity": (False, SWITCH)},
+    "topq": {
+        "input": (None, {}), "q": (2000, Q), "workers": (None, INT), "out": (None, {}),
+        "format": ("json", dict(choices=["csv", "json"]))},
+    "sbm": {
+        "params": (None, dict(help="JSON file with block_sizes/p/seed")),
+        "paper": (False, dict(SWITCH, help="use the benchmark configuration")),
+        "seed": (None, INT), "out": ("sbm", dict(help="output prefix"))},
+    "eval": {
+        "mode": (None, dict(choices=["roc", "ari"])), "params": (None, {}),
+        "paper": (False, SWITCH), "runs": (200, INT), "k": (1, INT),
+        "q_values": ("61,70,100,150,200", {}), "seed": (0, INT),
+        "workers": (None, INT), "out": ("eval", {})},
+    "bench-trim": {
+        "input": (None, {}), "q_values": (None, {}), "workers": (None, INT),
+        "out": ("bench.csv", {})},
+}
+
+
+def _check_config_value(key: str, value, default, kwargs: dict) -> None:
+    """A config value must be one its flag could give, or null for a None default."""
+    if value is None and default is None:
+        return
+    kind = bool if "const" in kwargs else kwargs.get("type", str)
+    choices = kwargs.get("choices")
+    # type(), not isinstance: JSON true is not an integer; any number is a float
+    if (type(value) not in ((int, float) if kind is float else (kind,))
+            or choices and value not in choices):
+        want = f"one of {choices}" if choices else kind.__name__
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """Flags > --config file > defaults, then the ACTIVE_SCAN_THREADS
+    default of workers, --dump-config and the --input requirement."""
+    table = OPTIONS[args.command]
+    cfg = {key: default for key, (default, _) in table.items()}
+    if args.config:
+        file_cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object, "
+                             f"got {type(file_cfg).__name__}")
+        unknown = set(file_cfg) - set(table)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, *table[key])
+        cfg.update(file_cfg)
+    for key in table:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if "workers" in cfg and cfg["workers"] is None:
+        cfg["workers"] = _default_workers()
+    if args.dump_config:
+        print(json.dumps(cfg, indent=2))
+    if "input" in cfg and not cfg["input"]:
+        raise ValueError("--input is required")
+    return cfg
+
+
+def _input_path(cfg: dict) -> Path:
+    path = Path(cfg["input"])
+    if not path.exists():
+        raise FileNotFoundError(f"input graph not found: {path}")
+    return path
 
 
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -90,31 +151,15 @@ def _parse_q_values(text: str) -> list[int]:
     return vals
 
 
-def _load_params(args):
-    if getattr(args, "paper", False):
+def _load_params(cfg: dict):
+    if cfg["paper"]:
         return paper_params()
-    if getattr(args, "params", None):
-        return params_from_json(args.params)
+    if cfg["params"]:
+        return params_from_json(cfg["params"])
     raise ValueError("either --paper or --params is required")
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
-DETECT_DEFAULTS = dict(input=None, out="out", k=1, q=2000, similarity_k=None,
-                       sigma=None, clusters=None, max_clusters=10,
-                       workers=None, seed=0, emit_similarity=False)
-
-
-def _cmd_detect(args) -> int:
-    cfg = _merge_config(args, DETECT_DEFAULTS)
-    if cfg["workers"] is None:
-        cfg["workers"] = _default_workers()
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2))
-    if not cfg["input"]:
-        raise ValueError("--input is required")
+def _cmd_detect(cfg: dict) -> int:
     if cfg["q"] < 1:
         raise ValueError("Q must be >= 1")
     if cfg["k"] < 0:
@@ -122,9 +167,7 @@ def _cmd_detect(args) -> int:
     if cfg["workers"] < 1:
         raise ValueError("workers must be >= 1")
 
-    in_path = Path(cfg["input"])
-    if not in_path.exists():
-        raise FileNotFoundError(f"input graph not found: {in_path}")
+    in_path = _input_path(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -149,7 +192,7 @@ def _cmd_detect(args) -> int:
     if cfg["clusters"] is not None:
         num_clusters = cfg["clusters"]
     elif sim.order < 2 or max_c < 2:
-        num_clusters, floor_applied = 1, False
+        num_clusters = 1
     else:
         evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c)
         num_clusters = estimate_num_clusters(evals, max_c)
@@ -171,34 +214,18 @@ def _cmd_detect(args) -> int:
         "sigma": sigma, "num_clusters": int(num_clusters),
         "cluster_floor_applied": bool(floor_applied),
         "eigenvalues": [float(x) for x in diag.eigenvalues],
-        "kmeans_inertia": diag.kmeans_inertia,
-        "restarts_used": diag.restarts_used,
+        "kmeans_inertia": diag.kmeans_inertia, "restarts_used": diag.restarts_used,
         "mds_negative_clamped": mds.negative_clamped,
-        "computed_count": result.computed_count,
-        "est1_count": result.est1_count,
-        "est2_count": result.est2_count,
-        "trim_wall_ms": result.wall_ms,
+        "computed_count": result.computed_count, "est1_count": result.est1_count,
+        "est2_count": result.est2_count, "trim_wall_ms": result.wall_ms,
         "seed": cfg["seed"], "workers": cfg["workers"],
     }
     (out_dir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
     return 0
 
 
-TOPQ_DEFAULTS = dict(input=None, q=2000, workers=None, out=None, format="json")
-
-
-def _cmd_topq(args) -> int:
-    cfg = _merge_config(args, TOPQ_DEFAULTS)
-    if cfg["workers"] is None:
-        cfg["workers"] = _default_workers()
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2))
-    if not cfg["input"]:
-        raise ValueError("--input is required")
-    in_path = Path(cfg["input"])
-    if not in_path.exists():
-        raise FileNotFoundError(f"input graph not found: {in_path}")
-    g = load_edge_list(in_path)
+def _cmd_topq(cfg: dict) -> int:
+    g = load_edge_list(_input_path(cfg))
     result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"])
     if cfg["out"]:
         write_trim_report(result, cfg["q"], cfg["out"], cfg["format"])
@@ -209,16 +236,9 @@ def _cmd_topq(args) -> int:
     return 0
 
 
-SBM_DEFAULTS = dict(params=None, paper=False, seed=None, out="sbm")
-
-
-def _cmd_sbm(args) -> int:
-    cfg = _merge_config(args, SBM_DEFAULTS)
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2))
-    params = _load_params(argparse.Namespace(**cfg))
+def _cmd_sbm(cfg: dict) -> int:
+    params = _load_params(cfg)
     if cfg["seed"] is not None:
-        from dataclasses import replace
         params = replace(params, seed=cfg["seed"])
     lg = generate_sbm(params)
     prefix = Path(cfg["out"])
@@ -231,22 +251,12 @@ def _cmd_sbm(args) -> int:
     return 0
 
 
-EVAL_DEFAULTS = dict(mode=None, params=None, paper=False, runs=200, k=1,
-                     q_values="61,70,100,150,200", seed=0, workers=None,
-                     out="eval")
-
-
-def _cmd_eval(args) -> int:
-    cfg = _merge_config(args, EVAL_DEFAULTS)
-    if cfg["workers"] is None:
-        cfg["workers"] = _default_workers()
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2))
+def _cmd_eval(cfg: dict) -> int:
     if cfg["mode"] not in ("roc", "ari"):
         raise ValueError("--mode must be roc or ari")
     if cfg["runs"] < 1:
         raise ValueError("runs must be >= 1")
-    params = _load_params(argparse.Namespace(**cfg))
+    params = _load_params(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg["mode"] == "roc":
@@ -262,11 +272,10 @@ def _cmd_eval(args) -> int:
         q_values = _parse_q_values(cfg["q_values"])
         res = monte_carlo_ari(params, cfg["runs"], cfg["k"], q_values,
                               cfg["seed"], workers=cfg["workers"])
-        rows = []
-        for run_id in range(res.values.shape[0]):
-            for qi, q in enumerate(res.q_values):
-                rows.append((run_id, q, repr(float(res.values[run_id, qi]))))
-        _write_csv(out_dir / "ari_runs.csv", ["run_id", "q", "ari"], rows)
+        _write_csv(out_dir / "ari_runs.csv", ["run_id", "q", "ari"],
+                   [(run_id, q, repr(float(res.values[run_id, qi])))
+                    for run_id in range(res.values.shape[0])
+                    for qi, q in enumerate(res.q_values)])
         _write_csv(out_dir / "ari_summary.csv", ["q", "mean_ari", "sd_ari"],
                    [(q, repr(float(m)), repr(float(s)))
                     for q, m, s in zip(res.q_values, res.mean, res.sd)])
@@ -275,26 +284,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-BENCH_DEFAULTS = dict(input=None, q_values=None, workers=None, out="bench.csv")
-
-
-def _cmd_bench_trim(args) -> int:
-    cfg = _merge_config(args, BENCH_DEFAULTS)
-    if cfg["workers"] is None:
-        cfg["workers"] = _default_workers()
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2))
-    if not cfg["input"]:
-        raise ValueError("--input is required")
+def _cmd_bench_trim(cfg: dict) -> int:
     if not cfg["q_values"]:
         raise ValueError("--q-values is required")
     q_values = _parse_q_values(cfg["q_values"])
     if any(b <= a for a, b in zip(q_values, q_values[1:])):
         raise ValueError("q-values must be strictly ascending")
-    in_path = Path(cfg["input"])
-    if not in_path.exists():
-        raise FileNotFoundError(f"input graph not found: {in_path}")
-    g = load_edge_list(in_path)
+    g = load_edge_list(_input_path(cfg))
     rows = []
     for q in q_values:
         result = topQ_lstat_parallel(g, q, cfg["workers"])
@@ -305,8 +301,13 @@ def _cmd_bench_trim(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
+COMMANDS = {
+    "detect": ("run the full detection pipeline", _cmd_detect),
+    "topq": ("top-Q locality statistics with trim report", _cmd_topq),
+    "sbm": ("sample a stochastic block model graph", _cmd_sbm),
+    "eval": ("Monte-Carlo ROC/ARI evaluation", _cmd_eval),
+    "bench-trim": ("trimming cost against Q", _cmd_bench_trim),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,78 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="activescan",
         description="Active-community detection in large directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, func) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (_, kwargs) in OPTIONS[command].items():
+            kwargs = dict(kwargs)
+            p.add_argument(kwargs.pop("flag", "--" + key.replace("_", "-")),
+                           dest=key, **kwargs)
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--dump-config", action="store_true",
                        help="print effective configuration")
-
-    p = sub.add_parser("detect", help="run the full detection pipeline")
-    p.add_argument("--input")
-    p.add_argument("--out")
-    p.add_argument("--k", type=int)
-    p.add_argument("--Q", dest="q", type=int)
-    p.add_argument("--similarity-k", dest="similarity_k", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--max-clusters", dest="max_clusters", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--emit-similarity", dest="emit_similarity",
-                   action="store_const", const=True)
-    common(p)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("topq", help="top-Q locality statistics with trim report")
-    p.add_argument("--input")
-    p.add_argument("--Q", dest="q", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
-    common(p)
-    p.set_defaults(func=_cmd_topq)
-
-    p = sub.add_parser("sbm", help="sample a stochastic block model graph")
-    p.add_argument("--params", help="JSON file with block_sizes/p/seed")
-    p.add_argument("--paper", action="store_const", const=True,
-                   help="use the benchmark configuration")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output prefix")
-    common(p)
-    p.set_defaults(func=_cmd_sbm)
-
-    p = sub.add_parser("eval", help="Monte-Carlo ROC/ARI evaluation")
-    p.add_argument("--mode", choices=["roc", "ari"])
-    p.add_argument("--params")
-    p.add_argument("--paper", action="store_const", const=True)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--q-values", dest="q_values")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench-trim", help="trimming cost against Q")
-    p.add_argument("--input")
-    p.add_argument("--q-values", dest="q_values")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=_cmd_bench_trim)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_options(args))
     except Exception as exc:  # machine-readable failure for scripting
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, FileNotFoundError):
-            payload["path"] = str(exc).rsplit(": ", 1)[-1]
+            # the OS names the file; the CLI's own message ends with it
+            payload["path"] = str(exc.filename or str(exc).rsplit(": ", 1)[-1])
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

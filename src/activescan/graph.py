@@ -59,8 +59,8 @@ class Graph:
     directed multiplicity (1, or 2 for a reciprocal pair). Both are built
     in O(n + m) from sorted rows: scipy forms A^T by a counting transpose
     and merges sorted rows into M. In-neighbors, degrees and the unit
-    undirected matrix are derived from A and M. Instances are safe to
-    share between any number of concurrent readers.
+    undirected matrix are derived from A and M. Every array is read-only,
+    so instances are safe to share between any number of concurrent readers.
     """
 
     __slots__ = ("n", "m", "_adj", "_und", "_deg")
@@ -75,6 +75,10 @@ class Graph:
         self._und = self._adj + self._adj.T
         self.m = int(self._adj.nnz)
         self._deg = np.asarray(self._und.sum(axis=1), dtype=np.int64).ravel()
+        # the accessors hand out views, so a caller's write must not reach the graph
+        for arr in (self._deg, self._adj.indptr, self._adj.indices, self._adj.data,
+                    self._und.indptr, self._und.indices, self._und.data):
+            arr.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, src, dst) -> "Graph":
@@ -100,7 +104,7 @@ class Graph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
     def out_neighbors(self, v: int) -> np.ndarray:
-        """Sorted out-neighbors of v (zero-copy view)."""
+        """Sorted out-neighbors of v (read-only view)."""
         return self._adj.indices[self._adj.indptr[v]:self._adj.indptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
@@ -111,7 +115,7 @@ class Graph:
         return nb[(self._und.data[lo:hi] == 2) | ~np.isin(nb, self.out_neighbors(v))]
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted distinct undirected neighbors of v; excludes v itself."""
+        """Sorted distinct undirected neighbors of v, excluding v (read-only view)."""
         return self._und.indices[self._und.indptr[v]:self._und.indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:

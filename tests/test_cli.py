@@ -227,6 +227,40 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_config_values_are_type_checked(tmp_path, capsys):
+    path = write_tri(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for value, message in (
+            ({"q": "2"}, "config key 'q' must be int, got '2'"),
+            ({"q": 2.0}, "config key 'q' must be int, got 2.0"),
+            ({"q": True}, "config key 'q' must be int, got True"),
+            ({"format": "xml"}, "config key 'format' must be one of ['csv', 'json'], got 'xml'"),
+            ({"out": 3}, "config key 'out' must be str, got 3"),
+            ({"workers": None, "format": None},
+             "config key 'format' must be one of ['csv', 'json'], got None"),
+            ([1, 2], "config file must hold a JSON object, got list")):
+        cfg.write_text(json.dumps(value))
+        assert main(["topq", "--input", str(path), "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+    # null where the default is None; any number for a float; booleans for switches
+    cfg.write_text(json.dumps({"sigma": 1, "clusters": None, "emit_similarity": True}))
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(path), "--Q", "3", "--out", str(out),
+                 "--config", str(cfg)]) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["sigma"] == 1
+    assert (out / "similarity.csv").exists()
+
+
+def test_missing_config_file_reports_bare_path(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["topq", "--input", str(write_tri(tmp_path)),
+                 "--config", str(missing)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError"
+    assert err["path"] == str(missing)
+
+
 def test_detect_end_to_end_on_sbm(tmp_path):
     from activescan import ari, generate_sbm, write_edge_list
     lg = generate_sbm(paper_params(seed=2))
@@ -283,3 +317,30 @@ def test_workers_env_rejects_non_positive_integers(tmp_path, capsys, monkeypatch
         assert "ACTIVE_SCAN_THREADS" in err["message"]
     # an explicit flag does not consult the variable
     assert main(["topq", "--input", str(path), "--Q", "1", "--workers", "1"]) == 0
+
+
+def test_dump_config_pins_every_command_default(tmp_path, capsys, monkeypatch):
+    # only the required flags, each pointing at a missing file, so every
+    # command prints its configuration and then fails before any work
+    monkeypatch.delenv("ACTIVE_SCAN_THREADS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    nope = str(tmp_path / "nope")
+    cases = [
+        (["detect", "--input", nope],
+         {"input": nope, "out": "out", "k": 1, "q": 2000, "similarity_k": None,
+          "sigma": None, "clusters": None, "max_clusters": 10, "workers": 1,
+          "seed": 0, "emit_similarity": False}),
+        (["topq", "--input", nope],
+         {"input": nope, "q": 2000, "workers": 1, "out": None, "format": "json"}),
+        (["sbm", "--params", nope],
+         {"params": nope, "paper": False, "seed": None, "out": "sbm"}),
+        (["eval", "--mode", "roc", "--params", nope],
+         {"mode": "roc", "params": nope, "paper": False, "runs": 200, "k": 1,
+          "q_values": "61,70,100,150,200", "seed": 0, "workers": 1, "out": "eval"}),
+        (["bench-trim", "--input", nope, "--q-values", "1"],
+         {"input": nope, "q_values": "1", "workers": 1, "out": "bench.csv"}),
+    ]
+    for argv, want in cases:
+        assert main(argv + ["--dump-config"]) == 1
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+    assert list(tmp_path.iterdir()) == []  # nothing written

@@ -302,6 +302,17 @@ def test_adjacency_strictly_increasing():
             assert (np.diff(row) > 0).all()
 
 
+def test_graph_arrays_are_read_only():
+    g = tri_graph()
+    for view in (g.degrees(), g.neighbors(1), g.out_neighbors(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] += 5
+    for arr in (g._adj.indptr, g._adj.indices, g._adj.data,
+                g._und.indptr, g._und.indices, g._und.data):
+        assert not arr.flags.writeable
+    assert psi_all(g, 1).tolist() == [3, 3, 3]
+
+
 def test_reload_idempotent(tmp_path):
     g, _, _ = er_graph(70, 0.08, 4)
     path = tmp_path / "g.edges"
