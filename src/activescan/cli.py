@@ -53,20 +53,25 @@ def _default_workers() -> int:
 
 
 INT = dict(type=int)
+ORDER = dict(INT, low=0)
+COUNT = dict(INT, low=1)
 SWITCH = dict(action="store_const", const=True)
 Q = dict(INT, flag="--Q")
 
 # command -> config key -> (default, add_argument kwargs), in --dump-config
 # order. The flag is --key with dashes unless the kwargs name one; an absent
 # flag stays None and falls through to the --config file, then the default.
+# A `low` entry is the smallest value the option takes, checked before any
+# work starts.
 OPTIONS = {
     "detect": {
-        "input": (None, {}), "out": ("out", {}), "k": (1, INT), "q": (2000, Q),
-        "similarity_k": (None, INT), "sigma": (None, dict(type=float)),
-        "clusters": (None, INT), "max_clusters": (10, INT), "workers": (None, INT),
-        "seed": (0, INT), "emit_similarity": (False, SWITCH)},
+        "input": (None, {}), "out": ("out", {}), "k": (1, ORDER),
+        "q": (2000, dict(Q, low=1)), "similarity_k": (None, COUNT),
+        "sigma": (None, dict(type=float)), "clusters": (None, COUNT),
+        "max_clusters": (10, INT), "workers": (None, COUNT), "seed": (0, INT),
+        "emit_similarity": (False, SWITCH)},
     "topq": {
-        "input": (None, {}), "q": (2000, Q), "workers": (None, INT), "out": (None, {}),
+        "input": (None, {}), "q": (2000, Q), "workers": (None, COUNT), "out": (None, {}),
         "format": ("json", dict(choices=["csv", "json"]))},
     "sbm": {
         "params": (None, dict(help="JSON file with block_sizes/p/seed")),
@@ -74,11 +79,11 @@ OPTIONS = {
         "seed": (None, INT), "out": ("sbm", dict(help="output prefix"))},
     "eval": {
         "mode": (None, dict(choices=["roc", "ari"])), "params": (None, {}),
-        "paper": (False, SWITCH), "runs": (200, INT), "k": (1, INT),
+        "paper": (False, SWITCH), "runs": (200, COUNT), "k": (1, ORDER),
         "q_values": ("61,70,100,150,200", {}), "seed": (0, INT),
-        "workers": (None, INT), "out": ("eval", {})},
+        "workers": (None, COUNT), "out": ("eval", {})},
     "bench-trim": {
-        "input": (None, {}), "q_values": (None, {}), "workers": (None, INT),
+        "input": (None, {}), "q_values": (None, {}), "workers": (None, COUNT),
         "out": ("bench.csv", {})},
 }
 
@@ -98,7 +103,8 @@ def _check_config_value(key: str, value, default, kwargs: dict) -> None:
 
 def _options(args: argparse.Namespace) -> dict:
     """Flags > --config file > defaults, then the ACTIVE_SCAN_THREADS
-    default of workers, --dump-config and the --input requirement."""
+    default of workers, --dump-config, the --input requirement and each
+    option's lowest value."""
     table = OPTIONS[args.command]
     cfg = {key: default for key, (default, _) in table.items()}
     if args.config:
@@ -121,6 +127,10 @@ def _options(args: argparse.Namespace) -> dict:
         print(json.dumps(cfg, indent=2))
     if "input" in cfg and not cfg["input"]:
         raise ValueError("--input is required")
+    for key, (_, kwargs) in table.items():
+        if "low" in kwargs and cfg[key] is not None and cfg[key] < kwargs["low"]:
+            name = kwargs.get("flag", key).lstrip("-")
+            raise ValueError(f"{name} must be >= {kwargs['low']}")
     return cfg
 
 
@@ -145,7 +155,12 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_q_values(text: str) -> list[int]:
-    vals = [int(tok) for tok in text.replace(",", " ").split()]
+    vals = []
+    for pos, tok in enumerate(text.replace(",", " ").split(), 1):
+        try:
+            vals.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--q-values: token {pos}, {tok!r}, is not an integer") from None
     if not vals:
         raise ValueError("empty q-values")
     return vals
@@ -160,13 +175,8 @@ def _load_params(cfg: dict):
 
 
 def _cmd_detect(cfg: dict) -> int:
-    if cfg["q"] < 1:
-        raise ValueError("Q must be >= 1")
-    if cfg["k"] < 0:
-        raise ValueError("k must be >= 0")
-    if cfg["workers"] < 1:
-        raise ValueError("workers must be >= 1")
-
+    if cfg["sigma"] is not None and not cfg["sigma"] > 0:
+        raise ValueError("sigma must be positive")
     in_path = _input_path(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,7 +196,7 @@ def _cmd_detect(cfg: dict) -> int:
         write_similarity_csv(sim, out_dir / "similarity.csv")
 
     sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
-    w = rbf_affinity(sim, sigma)
+    w = rbf_affinity(sim.values, sigma)
     max_c = min(cfg["max_clusters"], sim.order)
     floor_applied = False
     if cfg["clusters"] is not None:
@@ -194,7 +204,7 @@ def _cmd_detect(cfg: dict) -> int:
     elif sim.order < 2 or max_c < 2:
         num_clusters = 1
     else:
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c)
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
     assignment, diag = spectral_cluster(
@@ -202,7 +212,7 @@ def _cmd_detect(cfg: dict) -> int:
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
                zip(assignment.vertices.tolist(), assignment.labels.tolist()))
 
-    mds = classical_mds(sim, dims=min(2, sim.order))
+    mds = classical_mds(sim.values, dims=min(2, sim.order))
     coords = mds.coords if mds.coords.shape[1] == 2 else \
         np.column_stack([mds.coords, np.zeros(sim.order)])
     _write_csv(out_dir / "mds.csv", ["vertex", "x", "y"],
@@ -254,8 +264,7 @@ def _cmd_sbm(cfg: dict) -> int:
 def _cmd_eval(cfg: dict) -> int:
     if cfg["mode"] not in ("roc", "ari"):
         raise ValueError("--mode must be roc or ari")
-    if cfg["runs"] < 1:
-        raise ValueError("runs must be >= 1")
+    q_values = _parse_q_values(cfg["q_values"]) if cfg["mode"] == "ari" else None
     params = _load_params(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +278,6 @@ def _cmd_eval(cfg: dict) -> int:
                    [(i, repr(float(a))) for i, a in enumerate(res.run_aucs)])
         print(f"mean_auc={res.mean_auc:.6f}")
     else:
-        q_values = _parse_q_values(cfg["q_values"])
         res = monte_carlo_ari(params, cfg["runs"], cfg["k"], q_values,
                               cfg["seed"], workers=cfg["workers"])
         _write_csv(out_dir / "ari_runs.csv", ["run_id", "q", "ari"],
@@ -319,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for key, (_, kwargs) in OPTIONS[command].items():
             kwargs = dict(kwargs)
+            kwargs.pop("low", None)
             p.add_argument(kwargs.pop("flag", "--" + key.replace("_", "-")),
                            dest=key, **kwargs)
         p.add_argument("--config", help="JSON config file (flags override it)")

@@ -24,6 +24,8 @@ from .spectral import (estimate_num_clusters, model_selection_affinity,
                        spectral_cluster)
 
 ROC_GRID = np.linspace(0.0, 1.0, 101)
+ARI_SIMILARITY_K = 1  # the ARI protocol's Jaccard order
+ARI_MAX_CLUSTERS = 8  # and its largest cluster count
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,8 @@ def params_to_json(params: SBMParams, path=None) -> str:
     return payload
 
 
-def params_from_json(source) -> SBMParams:
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        text = Path(source).read_text()
-    else:
-        text = source
-    obj = json.loads(text)
+def params_from_json(path) -> SBMParams:
+    obj = json.loads(Path(path).read_text())
     return SBMParams(block_sizes=tuple(obj["block_sizes"]),
                      p=np.array(obj["p"], dtype=float),
                      seed=int(obj.get("seed", 0)))
@@ -307,7 +305,7 @@ def monte_carlo_roc(params: SBMParams, runs: int, k: int, seed: int,
 
 
 def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
-                 similarity_k: int, max_clusters: int, run_seed: int) -> np.ndarray:
+                 run_seed: int) -> np.ndarray:
     lg = generate_sbm(replace(params, seed=run_seed))
     scores = psi_all(lg.graph, k)
     n = lg.graph.n
@@ -315,25 +313,25 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
     out = np.empty(len(q_values))
     for qi, q in enumerate(q_values):
         sel = order[:q]
-        sim = build_similarity_matrix(lg.graph, sel, similarity_k)
-        max_c = min(max_clusters, q)
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c)
+        sim = build_similarity_matrix(lg.graph, sel, ARI_SIMILARITY_K)
+        max_c = min(ARI_MAX_CLUSTERS, q)
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
         bhat = estimate_num_clusters(evals, max_c)
-        w = rbf_affinity(sim)
+        w = rbf_affinity(sim.values)
         assignment, _ = spectral_cluster(w, bhat, derive_seed(run_seed, f"cluster:{q}"))
         out[qi] = ari(assignment.labels, lg.labels[sel])
     return out
 
 
 def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
-                    seed: int, *, similarity_k: int = 1, max_clusters: int = 8,
-                    workers: int = 1) -> AriResult:
+                    seed: int, *, workers: int = 1) -> AriResult:
     """Clustering accuracy of the pipeline on the top-Q vertices, per Q.
 
     Per run and Q: select the Q highest order-k statistics (full sweep,
-    ties by ascending id), build the Jaccard matrix, cluster with the RBF
-    + spectral pipeline (cluster count from the eigengap), and score the
-    assignment against the true block labels of the selected vertices.
+    ties by ascending id), build the order-ARI_SIMILARITY_K Jaccard matrix,
+    cluster with the RBF + spectral pipeline (cluster count from the
+    eigengap, at most ARI_MAX_CLUSTERS), and score the assignment against
+    the true block labels of the selected vertices.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -345,7 +343,6 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
         if not 2 <= q <= n:
             raise ValueError(f"q values must lie in [2, {n}], got {q}")
     run_seeds = [derive_seed(seed, f"run:{r}") for r in range(runs)]
-    args = [(params, k, q_values, similarity_k, max_clusters, rs)
-            for rs in run_seeds]
+    args = [(params, k, q_values, rs) for rs in run_seeds]
     rows = _map_runs(_ari_one_run, args, workers)
     return AriResult(q_values=q_values, values=np.stack(rows))

@@ -12,7 +12,7 @@ from .graph import Graph, closed_neighborhood_rows, neighborhood
 
 # Neighborhood entries allowed in the row blocks of one product; large
 # enough that typical selections are processed in a single block.
-DEFAULT_CACHE_ENTRIES = 50_000_000
+ROW_BLOCK_ENTRIES = 50_000_000
 
 
 @dataclass
@@ -41,13 +41,12 @@ def jaccard(g: Graph, vi: int, vj: int, k: int = 1) -> float:
     return inter / (a.size + b.size - inter)
 
 
-def build_similarity_matrix(g: Graph, selected, k: int = 1, *,
-                            max_cached_entries: int = DEFAULT_CACHE_ENTRIES) -> SimilarityMatrix:
+def build_similarity_matrix(g: Graph, selected, k: int = 1) -> SimilarityMatrix:
     """All pairwise Jaccard values between the selected vertices.
 
     With R = R_k[S], the closed-neighborhood rows of the selection, the
     intersection sizes are the one sparse product R R^T and the union
-    sizes follow from the row lengths. max_cached_entries bounds the
+    sizes follow from the row lengths. ROW_BLOCK_ENTRIES bounds the
     neighborhood entries that the row blocks of one product hold: when R
     has more entries, it is cut into row blocks of at most half the bound
     and the product is formed block pair by block pair.
@@ -63,10 +62,9 @@ def build_similarity_matrix(g: Graph, selected, k: int = 1, *,
     rows = closed_neighborhood_rows(g, verts, k)
     sizes = np.diff(rows.indptr)
     starts = [0]
-    if rows.nnz > max_cached_entries:
-        half = max(1, max_cached_entries // 2)
+    if rows.nnz > ROW_BLOCK_ENTRIES:
         for i in range(1, verts.size):
-            if rows.indptr[i + 1] - rows.indptr[starts[-1]] > half:
+            if rows.indptr[i + 1] - rows.indptr[starts[-1]] > ROW_BLOCK_ENTRIES // 2:
                 starts.append(i)
     blocks = list(zip(starts, starts[1:] + [verts.size]))
     values = np.empty((verts.size, verts.size))

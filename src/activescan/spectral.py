@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import SimilarityMatrix
-
 # Orders from which the top-k solves use Lanczos iteration. Below it a dense
 # solve takes at most a few tens of milliseconds, while importing ARPACK's
 # modules would add about 9 MB to the resident set of every small run.
 _LANCZOS_MIN_ORDER = 500
+LOCAL_SCALE_K = 3  # model selection: bandwidth is the distance to this neighbour
+KMEANS_RESTARTS = 10  # seeded k-means restarts per clustering
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 
 
 @dataclass
@@ -75,10 +76,6 @@ def _top_eigh(a: np.ndarray, k: int,
     return evals, evecs
 
 
-def _as_matrix(s) -> np.ndarray:
-    return s.values if isinstance(s, SimilarityMatrix) else np.asarray(s, dtype=float)
-
-
 def auto_sigma(values: np.ndarray) -> float:
     """Median heuristic: median off-diagonal distance 1 - S, 1.0 if degenerate."""
     q = values.shape[0]
@@ -89,18 +86,17 @@ def auto_sigma(values: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def rbf_affinity(s, sigma: float | None = None) -> np.ndarray:
+def rbf_affinity(values: np.ndarray, sigma: float | None = None) -> np.ndarray:
     """W[i,j] = exp(-(1 - S[i,j])^2 / (2 sigma^2)), unit diagonal.
 
     sigma=None selects the median heuristic over off-diagonal distances.
     """
-    values = _as_matrix(s)
+    values = np.asarray(values, dtype=float)
     if sigma is None:
         sigma = auto_sigma(values)
     elif sigma <= 0:
         raise ValueError("sigma must be positive")
-    dist = 1.0 - values
-    w = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
+    w = np.exp(-((1.0 - values) ** 2) / (2.0 * sigma ** 2))
     np.fill_diagonal(w, 1.0)
     return w
 
@@ -125,31 +121,31 @@ def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None) -> np.
     return _top_eigh(sym, count, vectors=False)[0]
 
 
-def estimate_num_clusters(eigenvalues, max_clusters: int) -> int:
-    """Largest consecutive eigengap position, floored at two clusters.
-
-    Scans gaps lambda_i - lambda_{i+1} for 1-based i in [1, max_clusters);
-    ties resolve to the smallest i. A single-cluster answer is vacuous for
-    community detection, so the result is floored at 2.
-    """
+def _largest_gap(eigenvalues, max_clusters: int) -> int:
+    """1-based i < max_clusters of the largest lambda_i - lambda_{i+1}, first on ties."""
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.size < 2:
         raise ValueError("need at least 2 eigenvalues")
     if not 2 <= max_clusters <= evals.size:
         raise ValueError("max_clusters must be in [2, len(eigenvalues)]")
-    gaps = evals[:max_clusters - 1] - evals[1:max_clusters]
-    best = int(np.argmax(gaps)) + 1
-    return max(best, 2)
+    return int(np.argmax(evals[:max_clusters - 1] - evals[1:max_clusters])) + 1
+
+
+def estimate_num_clusters(eigenvalues, max_clusters: int) -> int:
+    """Largest consecutive eigengap position, floored at two clusters.
+
+    A single-cluster answer is vacuous for community detection, so the
+    result is floored at 2.
+    """
+    return max(_largest_gap(eigenvalues, max_clusters), 2)
 
 
 def eigengap_floor_applied(eigenvalues, max_clusters: int) -> bool:
     """True when the raw eigengap choice was 1 and the floor of 2 bound."""
-    evals = np.asarray(eigenvalues, dtype=float)
-    gaps = evals[:max_clusters - 1] - evals[1:max_clusters]
-    return int(np.argmax(gaps)) + 1 < 2
+    return _largest_gap(eigenvalues, max_clusters) < 2
 
 
-def model_selection_affinity(s, k_scale: int = 3) -> np.ndarray:
+def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     """Self-tuned affinity over similarity-row profiles, for cluster counting.
 
     The eigengap needs coherent groups to show up as near-unit eigenvalues
@@ -158,28 +154,28 @@ def model_selection_affinity(s, k_scale: int = 3) -> np.ndarray:
     the Euclidean distance between their similarity-matrix rows (the
     self-similarity coordinate removed, since it carries no pair
     information) and applies local scaling: each vertex's bandwidth is its
-    distance to the k_scale-th nearest neighbor, so every coherent group
-    saturates toward affinity one at its own scale.
+    distance to the LOCAL_SCALE_K-th nearest neighbor, so every coherent
+    group saturates toward affinity one at its own scale. sqrt is monotone
+    and correctly rounded, so that distance is the root of the k-th
+    smallest squared distance, bitwise, and no distance matrix is formed.
 
     Used only to choose the cluster count; the clustering itself embeds the
     RBF affinity of 1 - S.
     """
-    profiles = _as_matrix(s).copy()
+    profiles = np.array(values, dtype=float)
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
-    dist = np.sqrt(d2)
-    q = dist.shape[0]
-    kth = min(k_scale, q - 1)
-    sigma = np.partition(dist, kth, axis=1)[:, kth]
+    kth = min(LOCAL_SCALE_K, d2.shape[0] - 1)
+    sigma = np.sqrt(np.partition(d2, kth, axis=1)[:, kth])
     sigma[sigma == 0] = 1.0
     w = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(w, 1.0)
     return w
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
-                 max_iter: int) -> tuple[np.ndarray, float]:
+def _kmeans_once(x: np.ndarray, k: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
@@ -194,7 +190,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
         d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
 
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
         for c in range(k):
@@ -216,26 +212,22 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
     return labels, inertia
 
 
-def _kmeans(x: np.ndarray, k: int, seed: int, restarts: int = 10,
-            max_iter: int = 300) -> tuple[np.ndarray, float]:
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    best_labels, best_inertia = None, np.inf
-    for child in children:
-        labels, inertia = _kmeans_once(x, k, np.random.default_rng(child), max_iter)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, best_inertia
+def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """The restart with the lowest inertia, the first one on ties."""
+    runs = [_kmeans_once(x, k, np.random.default_rng(child))
+            for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS)]
+    return min(runs, key=lambda run: run[1])
 
 
 def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
-                     vertices: np.ndarray | None = None,
-                     restarts: int = 10) -> tuple[ClusterAssignment, SpectralDiagnostics]:
+                     vertices: np.ndarray | None = None
+                     ) -> tuple[ClusterAssignment, SpectralDiagnostics]:
     """Normalized spectral clustering of a symmetric affinity matrix.
 
     Embeds each point by the top num_clusters eigenvectors of
     D^{-1/2} W D^{-1/2}, row-normalizes (zero rows left as zero), and runs
-    seeded k-means over the embedding. Identical (w, num_clusters, seed)
-    always yields an identical assignment.
+    seeded k-means, best of KMEANS_RESTARTS, over the embedding. Identical
+    (w, num_clusters, seed) always yields an identical assignment.
     """
     w = np.asarray(w, dtype=float)
     q = w.shape[0]
@@ -257,7 +249,7 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
         labels = np.zeros(q, dtype=np.int64)
         inertia = float(((embed - embed.mean(axis=0)) ** 2).sum())
     else:
-        labels, inertia = _kmeans(embed, num_clusters, seed, restarts=restarts)
+        labels, inertia = _kmeans(embed, num_clusters, seed)
         labels = labels.astype(np.int64)
 
     assignment = ClusterAssignment(vertices=np.asarray(vertices, dtype=np.int64),
@@ -265,11 +257,11 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     diagnostics = SpectralDiagnostics(eigenvalues=evals,
                                       chosen_gap_index=num_clusters,
                                       kmeans_inertia=inertia,
-                                      restarts_used=restarts)
+                                      restarts_used=KMEANS_RESTARTS)
     return assignment, diagnostics
 
 
-def classical_mds(s, dims: int = 2) -> MdsResult:
+def classical_mds(values: np.ndarray, dims: int = 2) -> MdsResult:
     """Classical MDS of the distance 1 - S.
 
     Double-centers the squared distances with their row means and embeds
@@ -277,7 +269,7 @@ def classical_mds(s, dims: int = 2) -> MdsResult:
     clamped to zero and flagged. Each axis is signed so that the point
     farthest along it has a positive coordinate.
     """
-    values = _as_matrix(s)
+    values = np.asarray(values, dtype=float)
     q = values.shape[0]
     if not 1 <= dims <= q:
         raise ValueError(f"dims must be in [1, {q}]")

@@ -45,17 +45,24 @@ def test_detect_missing_input_reports_error_json(tmp_path, capsys):
     assert "absent.edges" in err["path"]
 
 
-def test_detect_rejects_bad_q_k_and_workers(tmp_path, capsys):
+def test_detect_rejects_bad_q_k_and_workers(tmp_path, capsys, monkeypatch):
+    def no_load(path):
+        raise AssertionError("the graph was loaded")
+    monkeypatch.setattr("activescan.cli.load_edge_list", no_load)
     out = tmp_path / "out"
     for flag, value, message in (("--Q", "0", "Q must be >= 1"),
                                  ("--k", "-1", "k must be >= 0"),
-                                 ("--workers", "0", "workers must be >= 1")):
+                                 ("--workers", "0", "workers must be >= 1"),
+                                 ("--similarity-k", "0", "similarity_k must be >= 1"),
+                                 ("--clusters", "0", "clusters must be >= 1"),
+                                 ("--sigma", "0", "sigma must be positive"),
+                                 ("--sigma", "-0.5", "sigma must be positive")):
         rc = main(["detect", "--input", str(write_tri(tmp_path)), "--out", str(out),
                    flag, value])
         assert rc == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
                                                        "message": message}
-    assert not out.exists()  # rejected before any output is written
+    assert not out.exists()  # rejected before the graph is loaded or output written
 
 
 def test_topq_full_q_computes_everything(tmp_path):
@@ -128,6 +135,18 @@ def test_sbm_seed_determinism_byte_level(tmp_path):
     assert (tmp_path / "a.edges").read_bytes() == (tmp_path / "b.edges").read_bytes()
 
 
+def test_missing_params_file_reports_its_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv in (["sbm", "--params", str(missing), "--out", str(tmp_path / "x")],
+                 ["eval", "--mode", "roc", "--params", str(missing),
+                  "--out", str(tmp_path / "e")]):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert err["path"] == str(missing)
+    assert not (tmp_path / "e").exists()
+
+
 def test_sbm_invalid_params_json(tmp_path, capsys):
     bad = tmp_path / "p.json"
     bad.write_text("{not json")
@@ -171,10 +190,26 @@ def test_eval_ari_row_counts(tmp_path):
 
 
 def test_eval_runs_zero_rejected(tmp_path, capsys):
-    rc = main(["eval", "--mode", "roc", "--paper", "--runs", "0",
-               "--out", str(tmp_path / "e")])
-    assert rc != 0
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    out = tmp_path / "e"
+    for flag, message in (("--runs", "runs must be >= 1"),
+                          ("--workers", "workers must be >= 1")):
+        rc = main(["eval", "--mode", "roc", "--paper", flag, "0", "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+    assert not out.exists()
+
+
+def test_q_values_are_parsed_before_output(tmp_path, capsys):
+    out = tmp_path / "e"
+    for text, message in (("", "empty q-values"),
+                          ("70,a", "--q-values: token 2, 'a', is not an integer")):
+        rc = main(["eval", "--mode", "ari", "--paper", "--q-values", text,
+                   "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+    assert not out.exists()
 
 
 def test_bench_trim_full_q(tmp_path):
@@ -197,6 +232,13 @@ def test_bench_trim_validates_q_values(tmp_path, capsys):
     rc = main(["bench-trim", "--input", str(path), "--q-values", "",
                "--out", str(tmp_path / "b.csv")])
     assert rc != 0
+    capsys.readouterr()
+    rc = main(["bench-trim", "--input", str(path), "--q-values", "1,a",
+               "--out", str(tmp_path / "b.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["message"] == \
+        "--q-values: token 2, 'a', is not an integer"
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -238,6 +280,7 @@ def test_config_values_are_type_checked(tmp_path, capsys):
             ({"out": 3}, "config key 'out' must be str, got 3"),
             ({"workers": None, "format": None},
              "config key 'format' must be one of ['csv', 'json'], got None"),
+            ({"workers": 0}, "workers must be >= 1"),
             ([1, 2], "config file must hold a JSON object, got list")):
         cfg.write_text(json.dumps(value))
         assert main(["topq", "--input", str(path), "--config", str(cfg)]) == 1

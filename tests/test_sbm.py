@@ -225,3 +225,12 @@ def test_params_json_roundtrip(tmp_path):
     assert back.block_sizes == p.block_sizes
     assert np.array_equal(back.p, p.p)
     assert back.seed == 12
+
+
+def test_params_from_json_reads_a_path_only(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError) as info:
+        params_from_json(missing)
+    assert info.value.filename == str(missing)
+    with pytest.raises(FileNotFoundError):  # JSON text is not a path
+        params_from_json('{"block_sizes": [2], "p": [[0.5]]}')

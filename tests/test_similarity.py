@@ -4,6 +4,7 @@ import pytest
 from activescan import (Graph, build_similarity_matrix, generate_sbm, jaccard,
                         paper_params, psi_all, read_similarity_csv,
                         write_similarity_csv)
+from activescan import similarity
 from _testutil import HUB_FAMILIES, er_graph, jaccard_oracle, tri_graph
 
 
@@ -82,11 +83,12 @@ def test_matrix_rejects_duplicates_and_empty():
         build_similarity_matrix(g, [])
 
 
-def test_blocked_computation_matches_unblocked():
+def test_blocked_computation_matches_unblocked(monkeypatch):
     g, _, _ = er_graph(90, 0.07, 17)
     sel = list(range(0, 90, 3))
     full = build_similarity_matrix(g, sel)
-    blocked = build_similarity_matrix(g, sel, max_cached_entries=40)
+    monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", 40)
+    blocked = build_similarity_matrix(g, sel)
     assert np.array_equal(full.values, blocked.values)
 
 
@@ -104,11 +106,12 @@ def test_matrix_equals_pairwise_jaccard_on_hub_graphs(family, k):
 
 
 @pytest.mark.parametrize("family", HUB_FAMILIES)
-def test_blocked_matches_unblocked_on_hub_graphs_k2(family):
+def test_blocked_matches_unblocked_on_hub_graphs_k2(family, monkeypatch):
     g, _, _ = HUB_FAMILIES[family]()
     sel = list(range(0, g.n, g.n // 30))
     full = build_similarity_matrix(g, sel, 2)
-    blocked = build_similarity_matrix(g, sel, 2, max_cached_entries=40)
+    monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", 40)
+    blocked = build_similarity_matrix(g, sel, 2)
     assert np.array_equal(full.values, blocked.values)
 
 

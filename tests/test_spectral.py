@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,13 +292,29 @@ def test_model_selection_affinity_is_valid_affinity():
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
-    sigma = np.sort(np.sqrt(d2), axis=1)[:, 3]  # the k_scale-th neighbour by a full sort
+    sigma = np.sort(np.sqrt(d2), axis=1)[:, 3]  # the LOCAL_SCALE_K-th neighbour by a full sort
     want = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(want, 1.0)
     assert np.array_equal(w, want)
     assert np.array_equal(w, w.T)
     assert (np.diag(w) == 1.0).all()
     assert (w >= 0).all() and (w <= 1).all()
+
+
+def test_model_selection_affinity_forms_no_distance_matrix():
+    # the squared distances, the profiles, the partition's copy and the
+    # affinity take about four Q x Q arrays; a distance matrix makes six
+    q = 300
+    s = np.clip(np.random.default_rng(5).random((q, q)), 0, 1)
+    s = (s + s.T) / 2
+    np.fill_diagonal(s, 1.0)
+    tracemalloc.start()
+    try:
+        model_selection_affinity(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * q * q
 
 
 def test_mds_single_point_at_origin():
