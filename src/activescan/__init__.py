@@ -23,7 +23,7 @@ from .spectral import (ClusterAssignment, MdsResult, SpectralDiagnostics,
                        model_selection_affinity, normalized_affinity_spectrum,
                        rbf_affinity, spectral_cluster)
 from .trimming import (TopQResult, read_trim_report, topQ_lstat,
-                       topQ_lstat_parallel, topQ_sweep, write_trim_report)
+                       topQ_lstat_parallel, write_trim_report)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "params_from_json", "params_to_json", "psi_all", "psi_k", "rbf_affinity",
     "read_binary", "read_similarity_csv", "read_trim_report", "roc_auc",
     "spectral_cluster", "topQ_lstat", "topQ_lstat_parallel",
-    "topQ_sweep", "write_binary", "write_edge_list", "write_similarity_csv",
+    "write_binary", "write_edge_list", "write_similarity_csv",
     "write_trim_report",
 ]

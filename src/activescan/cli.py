@@ -14,7 +14,9 @@ The trim counters of topq, bench-trim and detect's diagnostics.json are,
 with t the final Q-th value: computed_count, the vertices whose exact
 statistic was evaluated (those whose smaller bound is >= t);
 est1_count / est2_count, the vertices whose deg^2 + deg / capped bound
-is >= t, i.e. what that bound alone would leave to compute.
+is >= t, i.e. what that bound alone would leave to compute. At a detect
+--k other than 1 there are no bounds: all n vertices are computed and
+both estimates are 0.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .spectral import (auto_sigma, classical_mds, eigengap_floor_applied,
                        estimate_num_clusters, model_selection_affinity,
                        normalized_affinity_spectrum, rbf_affinity,
                        spectral_cluster)
-from .trimming import topQ_lstat_parallel, topQ_sweep, write_trim_report
+from .trimming import topQ_lstat_parallel, write_trim_report
 
 
 def _default_workers() -> int:
@@ -68,7 +70,7 @@ OPTIONS = {
         "input": (None, {}), "out": ("out", {}), "k": (1, ORDER),
         "q": (2000, dict(Q, low=1)), "similarity_k": (None, COUNT),
         "sigma": (None, dict(type=float)), "clusters": (None, COUNT),
-        "max_clusters": (10, INT), "workers": (None, COUNT), "seed": (0, INT),
+        "max_clusters": (10, COUNT), "workers": (None, COUNT), "seed": (0, INT),
         "emit_similarity": (False, SWITCH)},
     "topq": {
         "input": (None, {}), "q": (2000, Q), "workers": (None, COUNT), "out": (None, {}),
@@ -142,6 +144,7 @@ def _input_path(cfg: dict) -> Path:
 
 
 def _write_csv(path, header, rows) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -177,15 +180,13 @@ def _load_params(cfg: dict):
 def _cmd_detect(cfg: dict) -> int:
     if cfg["sigma"] is not None and not cfg["sigma"] > 0:
         raise ValueError("sigma must be positive")
+    if cfg["clusters"] is not None and cfg["clusters"] > cfg["q"]:
+        raise ValueError(f"clusters must be <= Q, got {cfg['clusters']} > {cfg['q']}")
     in_path = _input_path(cfg)
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     g = load_edge_list(in_path)
-    if cfg["k"] == 1:
-        result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"])
-    else:  # the bound-driven search is order-1 only
-        result = topQ_sweep(g, cfg["q"], cfg["k"])
+    result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"], cfg["k"])
     _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg['k']}"],
                [(v, val) for v, val in result.entries])
 
@@ -267,7 +268,6 @@ def _cmd_eval(cfg: dict) -> int:
     q_values = _parse_q_values(cfg["q_values"]) if cfg["mode"] == "ari" else None
     params = _load_params(cfg)
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg["mode"] == "roc":
         res = monte_carlo_roc(params, cfg["runs"], cfg["k"], cfg["seed"],
                               workers=cfg["workers"])

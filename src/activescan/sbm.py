@@ -22,6 +22,7 @@ from .similarity import build_similarity_matrix
 from .spectral import (estimate_num_clusters, model_selection_affinity,
                        normalized_affinity_spectrum, rbf_affinity,
                        spectral_cluster)
+from .trimming import _make_entries
 
 ROC_GRID = np.linspace(0.0, 1.0, 101)
 ARI_SIMILARITY_K = 1  # the ARI protocol's Jaccard order
@@ -308,11 +309,11 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
                  run_seed: int) -> np.ndarray:
     lg = generate_sbm(replace(params, seed=run_seed))
     scores = psi_all(lg.graph, k)
-    n = lg.graph.n
-    order = np.lexsort((np.arange(n), -scores))  # score desc, id asc on ties
+    entries = _make_entries(np.arange(lg.graph.n), scores, max(q_values))
+    ranked = np.array([v for v, _ in entries], dtype=np.int64)
     out = np.empty(len(q_values))
     for qi, q in enumerate(q_values):
-        sel = order[:q]
+        sel = ranked[:q]
         sim = build_similarity_matrix(lg.graph, sel, ARI_SIMILARITY_K)
         max_c = min(ARI_MAX_CLUSTERS, q)
         evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)

@@ -26,13 +26,11 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 class ClusterAssignment:
     vertices: np.ndarray
     labels: np.ndarray
-    num_clusters: int
 
 
 @dataclass
 class SpectralDiagnostics:
     eigenvalues: np.ndarray  # the num_clusters leading ones, descending
-    chosen_gap_index: int
     kmeans_inertia: float
     restarts_used: int
 
@@ -253,10 +251,8 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
         labels = labels.astype(np.int64)
 
     assignment = ClusterAssignment(vertices=np.asarray(vertices, dtype=np.int64),
-                                   labels=labels, num_clusters=num_clusters)
-    diagnostics = SpectralDiagnostics(eigenvalues=evals,
-                                      chosen_gap_index=num_clusters,
-                                      kmeans_inertia=inertia,
+                                   labels=labels)
+    diagnostics = SpectralDiagnostics(eigenvalues=evals, kmeans_inertia=inertia,
                                       restarts_used=KMEANS_RESTARTS)
     return assignment, diagnostics
 

@@ -1,4 +1,7 @@
-"""Top-Q search for the order-1 locality statistic with bound-based pruning.
+"""Top-Q ranking by the locality statistic of any order k.
+
+topQ_lstat is the one entry point. The upper bounds exist only at order
+1, where it runs the search below; any other order ranks one psi_all sweep.
 
 The search computes the exact statistic on as few vertices as possible.
 Both upper bounds are computed for every vertex up front, and b(v) is the
@@ -67,14 +70,8 @@ def _check_q(g: Graph, q: int) -> None:
         raise ValueError(f"Q must be in [1, {g.n}], got {q}")
 
 
-def topQ_lstat(g: Graph, q: int) -> TopQResult:
-    """Exact values of the Q largest order-1 locality statistics.
-
-    The value multiset of the first Q entries equals the brute-force top-Q;
-    all boundary ties are included beyond position Q.
-    """
-    t0 = time.perf_counter()
-    _check_q(g, q)
+def _search(g: Graph, q: int) -> TopQResult:
+    """The order-1 bound-ordered search of the module docstring."""
     b1, b2 = _bounds(g)
     bound = np.minimum(b1, b2)
     order = np.argsort(-bound)
@@ -100,11 +97,30 @@ def topQ_lstat(g: Graph, q: int) -> TopQResult:
         computed_count=done,
         est1_count=int(np.count_nonzero(b1 >= t)),
         est2_count=int(np.count_nonzero(b2 >= t)),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
-def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1) -> TopQResult:
+def topQ_lstat(g: Graph, q: int, k: int = 1) -> TopQResult:
+    """Exact values of the Q largest order-k locality statistics.
+
+    The value multiset of the first Q entries equals the brute-force top-Q;
+    all boundary ties are included beyond position Q. Order 1 runs the
+    bound-ordered search; any other order ranks one psi_all sweep, where
+    every vertex counts as computed and no bound is evaluated
+    (est1_count = est2_count = 0).
+    """
+    t0 = time.perf_counter()
+    _check_q(g, q)
+    if k == 1:
+        result = _search(g, q)
+    else:
+        entries = _make_entries(np.arange(g.n), psi_all(g, k), q)
+        result = TopQResult(entries, computed_count=g.n, est1_count=0, est2_count=0)
+    result.wall_ms = (time.perf_counter() - t0) * 1e3
+    return result
+
+
+def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1, k: int = 1) -> TopQResult:
     """topQ_lstat under the CLI's --workers setting.
 
     The search runs in one thread for every worker count: Python threads
@@ -114,47 +130,33 @@ def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1) -> TopQResult:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    result = topQ_lstat(g, q)
+    result = topQ_lstat(g, q, k)
     result.worker_exact_counts = [result.computed_count]
     return result
 
 
-def topQ_sweep(g: Graph, q: int, k: int) -> TopQResult:
-    """Top-Q by the order-k statistic of every vertex, from one psi_all sweep.
-
-    Ranks any order k (the bound-driven search is order-1 only). Entries
-    follow topQ_lstat's ordering and tie rules; every vertex counts as
-    computed and no bound is evaluated.
-    """
-    t0 = time.perf_counter()
-    _check_q(g, q)
-    entries = _make_entries(np.arange(g.n), psi_all(g, k), q)
-    return TopQResult(entries=entries, computed_count=g.n, est1_count=0,
-                      est2_count=0, wall_ms=(time.perf_counter() - t0) * 1e3)
+# a trim report's fields after q, in file order, with their types; the
+# CSV writes a float with three decimals
+_REPORT_FIELDS = {"computed_count": int, "est1_count": int, "est2_count": int,
+                 "wall_ms": float}
 
 
 def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> None:
     """Persist a trim report as JSON (one object) or CSV (metadata repeated)."""
     path = Path(path)
+    fields = {name: getattr(result, name) for name in _REPORT_FIELDS}
     if fmt == "json":
-        payload = {
-            "q": q,
-            "computed_count": result.computed_count,
-            "est1_count": result.est1_count,
-            "est2_count": result.est2_count,
-            "wall_ms": result.wall_ms,
-            "entries": [[int(v), int(val)] for v, val in result.entries],
-        }
+        payload = {"q": q, **fields,
+                   "entries": [[int(v), int(val)] for v, val in result.entries]}
         path.write_text(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":
+        meta = [f"{fields[name]:.3f}" if kind is float else fields[name]
+                for name, kind in _REPORT_FIELDS.items()]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["q", "vertex", "psi1", "computed_count",
-                        "est1_count", "est2_count", "wall_ms"])
+            w.writerow(["q", "vertex", "psi1", *_REPORT_FIELDS])
             for v, val in result.entries:
-                w.writerow([q, v, val, result.computed_count,
-                            result.est1_count, result.est2_count,
-                            f"{result.wall_ms:.3f}"])
+                w.writerow([q, v, val, *meta])
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -165,24 +167,13 @@ def read_trim_report(path) -> tuple[int, TopQResult]:
     text = path.read_text()
     if text.lstrip().startswith("{"):
         obj = json.loads(text)
-        result = TopQResult(
-            entries=[(int(v), int(val)) for v, val in obj["entries"]],
-            computed_count=obj["computed_count"],
-            est1_count=obj["est1_count"],
-            est2_count=obj["est2_count"],
-            wall_ms=obj["wall_ms"],
-        )
-        return int(obj["q"]), result
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"empty trim report: {path}")
-    first = rows[0]
-    result = TopQResult(
-        entries=[(int(r["vertex"]), int(r["psi1"])) for r in rows],
-        computed_count=int(first["computed_count"]),
-        est1_count=int(first["est1_count"]),
-        est2_count=int(first["est2_count"]),
-        wall_ms=float(first["wall_ms"]),
-    )
-    return int(first["q"]), result
+        entries = [(int(v), int(val)) for v, val in obj["entries"]]
+    else:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if not rows:
+            raise ValueError(f"empty trim report: {path}")
+        obj = rows[0]
+        entries = [(int(r["vertex"]), int(r["psi1"])) for r in rows]
+    fields = {name: kind(obj[name]) for name, kind in _REPORT_FIELDS.items()}
+    return int(obj["q"]), TopQResult(entries=entries, **fields)

@@ -50,19 +50,32 @@ def test_detect_rejects_bad_q_k_and_workers(tmp_path, capsys, monkeypatch):
         raise AssertionError("the graph was loaded")
     monkeypatch.setattr("activescan.cli.load_edge_list", no_load)
     out = tmp_path / "out"
-    for flag, value, message in (("--Q", "0", "Q must be >= 1"),
-                                 ("--k", "-1", "k must be >= 0"),
-                                 ("--workers", "0", "workers must be >= 1"),
-                                 ("--similarity-k", "0", "similarity_k must be >= 1"),
-                                 ("--clusters", "0", "clusters must be >= 1"),
-                                 ("--sigma", "0", "sigma must be positive"),
-                                 ("--sigma", "-0.5", "sigma must be positive")):
+    for flags, message in ((["--Q", "0"], "Q must be >= 1"),
+                           (["--k", "-1"], "k must be >= 0"),
+                           (["--workers", "0"], "workers must be >= 1"),
+                           (["--similarity-k", "0"], "similarity_k must be >= 1"),
+                           (["--clusters", "0"], "clusters must be >= 1"),
+                           (["--max-clusters", "-4"], "max_clusters must be >= 1"),
+                           (["--Q", "3", "--clusters", "7"],
+                            "clusters must be <= Q, got 7 > 3"),
+                           (["--sigma", "0"], "sigma must be positive"),
+                           (["--sigma", "-0.5"], "sigma must be positive")):
         rc = main(["detect", "--input", str(write_tri(tmp_path)), "--out", str(out),
-                   flag, value])
+                   *flags])
         assert rc == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
                                                        "message": message}
     assert not out.exists()  # rejected before the graph is loaded or output written
+
+
+def test_detect_q_above_n_fails_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(write_tri(tmp_path)), "--Q", "50",
+               "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": "Q must be in [1, 3], got 50"}
+    assert not out.exists()
 
 
 def test_topq_full_q_computes_everything(tmp_path):
@@ -201,15 +214,16 @@ def test_eval_runs_zero_rejected(tmp_path, capsys):
 
 
 def test_q_values_are_parsed_before_output(tmp_path, capsys):
-    out = tmp_path / "e"
+    out = tmp_path / "qv" / "e"
     for text, message in (("", "empty q-values"),
-                          ("70,a", "--q-values: token 2, 'a', is not an integer")):
-        rc = main(["eval", "--mode", "ari", "--paper", "--q-values", text,
-                   "--out", str(out)])
+                          ("70,a", "--q-values: token 2, 'a', is not an integer"),
+                          ("1", "q values must lie in [2, 1000], got 1")):
+        rc = main(["eval", "--mode", "ari", "--paper", "--runs", "1",
+                   "--q-values", text, "--out", str(out)])
         assert rc == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
                                                        "message": message}
-    assert not out.exists()
+    assert not out.parent.exists()
 
 
 def test_bench_trim_full_q(tmp_path):

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from activescan import (Graph, est_lstat1, est_lstat2, generate_sbm,
-                        paper_params, psi_all, read_trim_report, topQ_lstat,
-                        topQ_lstat_parallel, topQ_sweep, write_trim_report)
+from activescan import (Graph, TopQResult, est_lstat1, est_lstat2,
+                        generate_sbm, paper_params, psi_all, read_trim_report,
+                        topQ_lstat, topQ_lstat_parallel, write_trim_report)
 from activescan.locality import _bounds
 from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, star_graph,
                        tri_graph, triangles_graph)
@@ -17,6 +17,15 @@ def brute_topq_values(g, q):
 
 def result_values(result, q):
     return sorted((val for _, val in result.entries[:q]), reverse=True)
+
+
+def sweep_entries(g, q, k):
+    """Every vertex whose order-k statistic reaches the Q-th value, by
+    (-value, id): the top-Q entries with all boundary ties."""
+    scores = psi_all(g, k)
+    kth = np.sort(scores)[::-1][q - 1]
+    return sorted(((v, int(s)) for v, s in enumerate(scores) if s >= kth),
+                  key=lambda e: (-e[1], e[0]))
 
 
 def clique_plus_paths() -> Graph:
@@ -123,7 +132,7 @@ def test_topq_matches_brute_force(style, seed):
         assert r.computed_count <= g.n
         assert r.est1_count > 0
         # strict-less pruning finds every boundary tie the full sweep lists
-        assert r.entries == topQ_sweep(g, q, 1).entries, (style, seed, q)
+        assert r.entries == sweep_entries(g, q, 1), (style, seed, q)
 
 
 def test_topq_q_equals_n_is_lossless():
@@ -187,19 +196,16 @@ def test_parallel_value_multisets_match_serial(workers):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_sweep_ranks_any_order_with_boundary_ties(k):
     g, _, _ = er_graph(90, 0.05, 33)
-    scores = psi_all(g, k)
     for q in (1, 10, g.n):
-        r = topQ_sweep(g, q, k)
-        kth = np.sort(scores)[::-1][q - 1]
-        want = sorted(((v, int(s)) for v, s in enumerate(scores) if s >= kth),
-                      key=lambda e: (-e[1], e[0]))
-        assert r.entries == want
-        assert r.computed_count == g.n
+        r = topQ_lstat(g, q, k)
+        assert r.entries == sweep_entries(g, q, k)
+        if k != 1:  # a sweep computes every vertex and evaluates no bound
+            assert (r.computed_count, r.est1_count, r.est2_count) == (g.n, 0, 0)
         assert r.wall_ms > 0
     with pytest.raises(ValueError):
-        topQ_sweep(g, 0, k)
+        topQ_lstat(g, 0, k)
     with pytest.raises(ValueError):
-        topQ_sweep(g, g.n + 1, k)
+        topQ_lstat(g, g.n + 1, k)
 
 
 def test_counters_populated_and_bounded():
@@ -236,3 +242,18 @@ def test_hub_sweep_and_search_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+def test_trim_report_bytes_are_pinned(tmp_path):
+    r = TopQResult(entries=[(4, 9), (0, 7), (2, 7)], computed_count=5,
+                   est1_count=6, est2_count=3, wall_ms=1.25)
+    write_trim_report(r, 2, tmp_path / "r.json", "json")
+    assert (tmp_path / "r.json").read_bytes() == (
+        b'{\n  "q": 2,\n  "computed_count": 5,\n  "est1_count": 6,\n'
+        b'  "est2_count": 3,\n  "wall_ms": 1.25,\n  "entries": [\n'
+        b'    [\n      4,\n      9\n    ],\n    [\n      0,\n      7\n    ],\n'
+        b'    [\n      2,\n      7\n    ]\n  ]\n}\n')
+    write_trim_report(r, 2, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms\r\n"
+        b"2,4,9,5,6,3,1.250\r\n2,0,7,5,6,3,1.250\r\n2,2,7,5,6,3,1.250\r\n")
