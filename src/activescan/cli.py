@@ -197,7 +197,6 @@ def _cmd_detect(cfg: dict) -> int:
         write_similarity_csv(sim, out_dir / "similarity.csv")
 
     sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
-    w = rbf_affinity(sim.values, sigma)
     max_c = min(cfg["max_clusters"], sim.order)
     floor_applied = False
     if cfg["clusters"] is not None:
@@ -208,8 +207,11 @@ def _cmd_detect(cfg: dict) -> int:
         evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
+    # formed only now and held by no name here, so no other Q x Q array of
+    # model selection or MDS is alive beside the affinity
     assignment, diag = spectral_cluster(
-        w, num_clusters, derive_seed(cfg["seed"], "spectral"), vertices=selected)
+        rbf_affinity(sim.values, sigma), num_clusters,
+        derive_seed(cfg["seed"], "spectral"), vertices=selected)
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
                zip(assignment.vertices.tolist(), assignment.labels.tolist()))
 

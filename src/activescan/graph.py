@@ -14,6 +14,10 @@ log = logging.getLogger(__name__)
 # Binary layout (documented bit-exactly in README.md):
 #   u64 n, u64 m, u64 out_offsets[n+1], u64 out_targets[m], all little-endian.
 _BIN_DTYPE = np.dtype("<u8")
+# Ids are remapped through a bitmap of their range while the largest id is
+# below this multiple of the endpoint count (at most 9 bytes per slot, so 36
+# per endpoint); sparser ids are sorted instead.
+_BITMAP_MAX_RATIO = 4
 
 
 class EdgeListParseError(ValueError):
@@ -203,23 +207,22 @@ def induced_edge_count(g: Graph, s) -> int:
     return int(mask[_out_targets(g, s)].sum())
 
 
-def _read_lines(source) -> list:
-    """The lines of an iterable as given, or of a file split at '\n' only.
+def _file_lines(path) -> list:
+    """The lines of a file split at '\n' only, for the line loop.
 
     A file that is not valid UTF-8 stays bytes, so the line loop raises the
     decoding error at its line.
     """
-    if not isinstance(source, (str, Path)):
-        return list(source)
-    data = Path(source).read_bytes()
+    data = Path(path).read_bytes()
     try:
         return data.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return data.split(b"\n")
 
 
-def _fast_pairs(lines: list) -> np.ndarray | None:
-    """All pairs by one C-level parse, or None where the line loop must decide.
+def _fast_pairs(source) -> np.ndarray | None:
+    """All pairs by one C-level parse of an open file or a list of lines, or
+    None where the line loop must decide.
 
     Accepts only what the loop accepts with the same values: the parse
     reads optionally signed decimal integers split by whitespace, and any
@@ -230,7 +233,7 @@ def _fast_pairs(lines: list) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; the loop rejects it
-            pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2,
+            pairs = np.loadtxt(source, dtype=np.int64, comments=None, ndmin=2,
                                encoding="utf-8")
     except (ValueError, TypeError):  # UnicodeDecodeError is a ValueError
         return None
@@ -265,6 +268,34 @@ def _loop_pairs(lines: list) -> np.ndarray:
                             np.array(dsts, dtype=np.int64)])
 
 
+def _parse_pairs(source) -> np.ndarray:
+    """All pairs of an edge-list path or iterable of lines; lines end at '\n' only."""
+    if isinstance(source, (str, Path)):
+        # newline="\n" ends lines at '\n' alone, as the line loop does
+        with open(source, encoding="utf-8", newline="\n") as fh:
+            pairs = _fast_pairs(fh)
+        return pairs if pairs is not None else _loop_pairs(_file_lines(source))
+    lines = list(source)
+    pairs = _fast_pairs(lines)
+    return pairs if pairs is not None else _loop_pairs(lines)
+
+
+def _dense_ids(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(raw, return_inverse=True) of non-negative ids, dtypes included.
+
+    While the largest id is below _BITMAP_MAX_RATIO times the number of ids,
+    a bitmap of the id range and its running count replace the sort.
+    """
+    top = int(raw.max())
+    if top >= _BITMAP_MAX_RATIO * raw.size:
+        return np.unique(raw, return_inverse=True)
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[raw] = True
+    rank = np.cumsum(seen, dtype=np.intp)
+    rank -= 1
+    return np.flatnonzero(seen).astype(raw.dtype, copy=False), rank[raw]
+
+
 def load_edge_list(source, *, with_mapping: bool = False):
     """Parse a plain-text edge list into a Graph.
 
@@ -275,14 +306,10 @@ def load_edge_list(source, *, with_mapping: bool = False):
     Self-loops and duplicate edges are dropped with a counted warning.
     Malformed input raises EdgeListParseError with its line number.
     """
-    lines = _read_lines(source)
-    pairs = _fast_pairs(lines)
-    if pairs is None:
-        pairs = _loop_pairs(lines)
-    raw_src, raw_dst = pairs[:, 0], pairs[:, 1]
-    ids, inverse = np.unique(np.concatenate([raw_src, raw_dst]), return_inverse=True)
-    src = inverse[:raw_src.size]
-    dst = inverse[raw_src.size:]
+    pairs = _parse_pairs(source)
+    ids, inverse = _dense_ids(pairs.T.ravel())
+    src = inverse[:len(pairs)]
+    dst = inverse[len(pairs):]
     g = Graph.from_edges(ids.size, src, dst)
     n_loops = int((src == dst).sum())
     n_dups = src.size - n_loops - g.m

@@ -5,6 +5,13 @@ symmetric degree normalization, row-normalized top eigenvectors, k-means
 with deterministic seeding. The eigengap of the normalized affinity
 spectrum suggests the cluster count. Every stage needs only a few leading
 eigenpairs of a dense Q x Q matrix, so each solves for just those.
+
+Two rules hold for the work around the solves. Every output is fixed to the
+bit: a faster or smaller way to form an array is used only when it gives
+the same bytes as the direct element-wise formula. And symmetry is first
+tested exactly, tile by tile with no transposed copy; the shortcuts that
+symmetry allows run only when that test passes, and otherwise each stage
+takes its general path (spectral_cluster falls back to np.allclose).
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ _LANCZOS_MIN_ORDER = 500
 LOCAL_SCALE_K = 3  # model selection: bandwidth is the distance to this neighbour
 KMEANS_RESTARTS = 10  # seeded k-means restarts per clustering
 KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
+# Edge of the square tiles in which a matrix meets its transpose: two
+# 512 KiB float64 tiles stay in cache, where a whole transposed pass misses.
+_TILE = 256
 
 
 @dataclass
@@ -74,13 +84,50 @@ def _top_eigh(a: np.ndarray, k: int,
     return evals, evecs
 
 
+def _tile_pairs(q: int):
+    """Slices (I, J) of the tiles on and above the diagonal of a q x q matrix."""
+    starts = range(0, q, _TILE)
+    for i in starts:
+        for j in starts[i // _TILE:]:
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """True when square a equals its transpose exactly (any NaN makes it False)."""
+    return all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tile_pairs(a.shape[0]))
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite square a with (a + a^T) / 2, tile pair by tile pair; returns a.
+
+    Each pair of mirrored tiles is read before either is written, and the
+    sum is commutative, so the result equals the out-of-place formula bitwise.
+    """
+    for i, j in _tile_pairs(a.shape[0]):
+        block = a[i, j] + a[j, i].T
+        block /= 2.0
+        a[i, j] = block
+        a[j, i] = block.T
+    return a
+
+
 def auto_sigma(values: np.ndarray) -> float:
-    """Median heuristic: median off-diagonal distance 1 - S, 1.0 if degenerate."""
+    """Median heuristic: median off-diagonal distance 1 - S, 1.0 if degenerate.
+
+    On an exactly symmetric S every off-diagonal value occurs twice, so the
+    median of the strict upper triangle is the same number, bitwise, at
+    half the memory.
+    """
+    values = np.asarray(values, dtype=float)
     q = values.shape[0]
     if q < 2:
         return 1.0
-    off = ~np.eye(q, dtype=bool)
-    med = float(np.median(1.0 - values[off]))
+    if _is_symmetric(values):
+        dist = np.concatenate([values[i, i + 1:] for i in range(q - 1)])
+    else:
+        dist = values[~np.eye(q, dtype=bool)]
+    np.subtract(1.0, dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
     return med if med > 0 else 1.0
 
 
@@ -94,7 +141,11 @@ def rbf_affinity(values: np.ndarray, sigma: float | None = None) -> np.ndarray:
         sigma = auto_sigma(values)
     elif sigma <= 0:
         raise ValueError("sigma must be positive")
-    w = np.exp(-((1.0 - values) ** 2) / (2.0 * sigma ** 2))
+    w = 1.0 - values
+    w **= 2
+    np.negative(w, out=w)
+    w /= 2.0 * sigma ** 2
+    np.exp(w, out=w)
     np.fill_diagonal(w, 1.0)
     return w
 
@@ -104,8 +155,9 @@ def _normalized_affinity(w: np.ndarray) -> np.ndarray:
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    sym = w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return (sym + sym.T) / 2.0
+    sym = w * inv_sqrt[:, None]
+    sym *= inv_sqrt[None, :]
+    return _symmetrize(sym)
 
 
 def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -163,11 +215,20 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     profiles = np.array(values, dtype=float)
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
+    # a general matrix product: profiles @ profiles.T would take BLAS's
+    # symmetric rank-k path, whose sums round differently
+    gram = (2.0 * profiles) @ profiles.T
+    del profiles
+    d2 = np.add.outer(sq, sq)
+    d2 -= gram
+    del gram
+    np.maximum(d2, 0.0, out=d2)
     kth = min(LOCAL_SCALE_K, d2.shape[0] - 1)
     sigma = np.sqrt(np.partition(d2, kth, axis=1)[:, kth])
     sigma[sigma == 0] = 1.0
-    w = np.exp(-d2 / np.outer(sigma, sigma))
+    np.negative(d2, out=d2)
+    d2 /= np.outer(sigma, sigma)
+    w = np.exp(d2, out=d2)
     np.fill_diagonal(w, 1.0)
     return w
 
@@ -231,7 +292,7 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     q = w.shape[0]
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("affinity matrix must be square")
-    if not np.allclose(w, w.T, atol=1e-10):
+    if not (_is_symmetric(w) or np.allclose(w, w.T, atol=1e-10)):
         raise ValueError("affinity matrix must be symmetric")
     if not 1 <= num_clusters <= q:
         raise ValueError(f"num_clusters must be in [1, {q}]")
@@ -269,10 +330,16 @@ def classical_mds(values: np.ndarray, dims: int = 2) -> MdsResult:
     q = values.shape[0]
     if not 1 <= dims <= q:
         raise ValueError(f"dims must be in [1, {q}]")
-    d2 = (1.0 - values) ** 2
-    d2 = (d2 + d2.T) / 2.0  # exactly symmetric, also for an asymmetric input
+    d2 = 1.0 - values
+    d2 **= 2
+    if not _is_symmetric(d2):  # (d2 + d2^T) / 2 would leave a symmetric d2 as it is
+        _symmetrize(d2)
     r = d2.mean(axis=1)
-    b = -0.5 * (d2 - (r[:, None] + r[None, :]) + r.mean())
+    b = np.add.outer(r, r)
+    np.subtract(d2, b, out=b)
+    del d2
+    b += r.mean()
+    b *= -0.5
     evals, evecs = _top_eigh(b, dims)
     clamped = bool((evals < 0).any())
     coords = evecs * np.sqrt(np.clip(evals, 0, None))

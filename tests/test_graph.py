@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
-from activescan.graph import (_fast_pairs, _loop_pairs, _sorted_unique,
-                              closed_neighborhood_rows)
+from activescan.graph import (_dense_ids, _fast_pairs, _loop_pairs, _parse_pairs,
+                              _sorted_unique, closed_neighborhood_rows)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
 
@@ -90,7 +91,7 @@ PARSE_CASES = [
 
 
 @pytest.mark.parametrize("case", PARSE_CASES)
-def test_fast_parse_agrees_with_line_loop(case):
+def test_fast_parse_agrees_with_line_loop(case, tmp_path):
     for lines in ([case], ["5 6", case, "7 8"], ["# head", case],
                   [x.encode() + b"\n" for x in ("5 6", case)]):
         fast = _fast_pairs(lines)
@@ -98,6 +99,16 @@ def test_fast_parse_agrees_with_line_loop(case):
             continue
         assert fast.dtype == np.int64
         assert fast.tolist() == _loop_pairs(lines).tolist()
+    # a path is parsed from the open file
+    path = tmp_path / "case.edges"
+    path.write_text(f"5 6\n{case}\n7 8\n", encoding="utf-8", newline="")
+    try:
+        want = _loop_pairs(["5 6", case, "7 8", ""]).tolist()
+    except (ValueError, OverflowError) as exc:  # the same error, raised by the loop
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _parse_pairs(path)
+    else:
+        assert _parse_pairs(path).tolist() == want
 
 
 def test_fast_parse_reads_plain_edge_lists():
@@ -130,6 +141,18 @@ def test_sorted_unique_matches_np_unique():
         got = _sorted_unique(keys)
         assert got.dtype == keys.dtype
         assert np.array_equal(got, np.unique(keys))
+
+
+@pytest.mark.parametrize("top", [0, 1, 50, 399, 400, 401, 10**6, 2**62])
+def test_dense_ids_match_np_unique(top):
+    # 100 ids: the bitmap serves tops below 400, the sort every other
+    rng = np.random.default_rng(top)
+    raw = rng.integers(0, top + 1, 100)
+    raw[0] = top
+    ids, inverse = _dense_ids(raw)
+    want_ids, want_inverse = np.unique(raw, return_inverse=True)
+    assert ids.dtype == want_ids.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(ids, want_ids) and np.array_equal(inverse, want_inverse)
 
 
 def test_degree_stat_cases():

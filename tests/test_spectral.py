@@ -10,12 +10,15 @@ import pytest
 from activescan import (ari, auto_sigma, classical_mds, estimate_num_clusters,
                         model_selection_affinity, normalized_affinity_spectrum,
                         rbf_affinity, spectral_cluster)
-from activescan.spectral import _LANCZOS_MIN_ORDER, _normalized_affinity, _top_eigh
+from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric,
+                                 _normalized_affinity, _top_eigh)
 
 # Order of the matrices that exercise the Lanczos path; every other test
 # matrix is below the threshold and takes the dense path.
 LARGE = _LANCZOS_MIN_ORDER + 100
 LARGE_BLOCKS = [200, 170, 130, 100]  # sums to LARGE; distinct sizes
+# Orders on the Lanczos path that cross several tiles and end in a partial one
+TILED = [LARGE + 13, 2 * _TILE + 1]
 
 
 def ideal_affinity(sizes):
@@ -302,8 +305,8 @@ def test_model_selection_affinity_is_valid_affinity():
 
 
 def test_model_selection_affinity_forms_no_distance_matrix():
-    # the squared distances, the profiles, the partition's copy and the
-    # affinity take about four Q x Q arrays; a distance matrix makes six
+    # the profiles, their double and the Gram product take three Q x Q
+    # arrays at the peak; a distance matrix makes more
     q = 300
     s = np.clip(np.random.default_rng(5).random((q, q)), 0, 1)
     s = (s + s.T) / 2
@@ -366,3 +369,130 @@ def test_mds_clamps_non_euclidean_eigenvalues():
 def test_mds_dims_validation():
     with pytest.raises(ValueError):
         classical_mds(np.ones((2, 2)), dims=3)
+
+
+def similarity_like(q, seed, symmetric=True):
+    """Jaccard-like values: unit diagonal, mostly zero, exactly symmetric if asked."""
+    rng = np.random.default_rng(seed)
+    s = np.where(rng.random((q, q)) < 0.15, rng.random((q, q)), 0.0)
+    if symmetric:
+        s = np.triu(s, 1)
+        s += s.T
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+# The references below are the direct element-wise formulas, the stages'
+# definitions; the stages must reproduce them bitwise.
+
+def reference_auto_sigma(s):
+    med = float(np.median(1.0 - s[~np.eye(s.shape[0], dtype=bool)]))
+    return med if med > 0 else 1.0
+
+
+def reference_rbf(s, sigma):
+    w = np.exp(-((1.0 - s) ** 2) / (2.0 * sigma ** 2))
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+def reference_normalized_affinity(w):
+    deg = w.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    pos = deg > 0
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
+    sym = w * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return (sym + sym.T) / 2.0
+
+
+def reference_model_selection(s):
+    profiles = s.copy()
+    np.fill_diagonal(profiles, 0.0)
+    sq = (profiles ** 2).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
+    sigma = np.sqrt(np.partition(d2, 3, axis=1)[:, 3])
+    sigma[sigma == 0] = 1.0
+    w = np.exp(-d2 / np.outer(sigma, sigma))
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+def reference_mds(s, dims):
+    d2 = (1.0 - s) ** 2
+    d2 = (d2 + d2.T) / 2.0
+    r = d2.mean(axis=1)
+    b = -0.5 * (d2 - (r[:, None] + r[None, :]) + r.mean())
+    evals, evecs = _top_eigh(b, dims)
+    return evecs * np.sqrt(np.clip(evals, 0, None)), evals
+
+
+@pytest.mark.parametrize("order", TILED)
+def test_spectral_stages_match_direct_formulas_bitwise(order):
+    s = similarity_like(order, order)
+    sigma = auto_sigma(s)
+    assert sigma == reference_auto_sigma(s)
+    w = rbf_affinity(s, sigma)
+    assert np.array_equal(w, reference_rbf(s, sigma))
+    assert np.array_equal(_normalized_affinity(w), reference_normalized_affinity(w))
+    assert np.array_equal(model_selection_affinity(s), reference_model_selection(s))
+    mds = classical_mds(s, dims=2)
+    coords, evals = reference_mds(s, 2)
+    assert np.array_equal(mds.coords, coords)
+    assert np.array_equal(mds.eigenvalues, evals)
+
+
+@pytest.mark.parametrize("order", TILED)
+def test_asymmetric_similarity_takes_the_general_paths(order):
+    s = similarity_like(order, order + 1, symmetric=False)
+    assert not _is_symmetric(s)
+    assert auto_sigma(s) == reference_auto_sigma(s)
+    mds = classical_mds(s, dims=2)
+    coords, evals = reference_mds(s, 2)
+    assert np.array_equal(mds.coords, coords)
+    assert np.array_equal(mds.eigenvalues, evals)
+
+
+@pytest.mark.parametrize("order", [40, 2 * _TILE + 1])
+def test_is_symmetric_sees_one_changed_entry_in_any_tile(order):
+    a = similarity_like(order, 3)
+    assert _is_symmetric(a)
+    for i, j in [(0, 1), (order - 1, 0), (order - 2, order - 1), (order // 3, order - 1)]:
+        b = a.copy()
+        b[i, j] += 1e-15
+        assert not _is_symmetric(b)
+    b = a.copy()
+    b[order - 1, order - 1] = np.nan
+    assert not _is_symmetric(b)
+
+
+@pytest.mark.parametrize("order", [40, 2 * _TILE + 1])
+def test_spectral_cluster_tolerates_only_tiny_asymmetry(order):
+    w = rbf_affinity(similarity_like(order, 5), sigma=0.5)
+    i, j = order - 2, 1  # a tile pair off the diagonal at the larger order
+    w[i, j] = w[j, i] = 0.0  # so only np.allclose's absolute tolerance applies
+    for delta, ok in ((1e-6, False), (1e-12, True)):
+        bad = w.copy()
+        bad[i, j] = delta
+        if ok:
+            spectral_cluster(bad, 3, seed=0)
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                spectral_cluster(bad, 3, seed=0)
+
+
+def test_detect_spectral_chain_holds_at_most_three_square_arrays():
+    # detect's order: the peak is model selection's profiles, their double
+    # and the Gram product; the RBF affinity is formed after it and dropped
+    # before MDS, and no stage keeps a transposed or spare Q x Q temporary
+    q = 1000
+    s = similarity_like(q, 8)
+    tracemalloc.start()
+    try:
+        sigma = auto_sigma(s)
+        evals = normalized_affinity_spectrum(model_selection_affinity(s), 20)
+        spectral_cluster(rbf_affinity(s, sigma), estimate_num_clusters(evals, 20), seed=0)
+        classical_mds(s, dims=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 8 * q * q, peak / (8 * q * q)
