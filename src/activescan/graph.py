@@ -18,6 +18,17 @@ _BIN_DTYPE = np.dtype("<u8")
 # below this multiple of the endpoint count (at most 9 bytes per slot, so 36
 # per endpoint); sparser ids are sorted instead.
 _BITMAP_MAX_RATIO = 4
+# The density switch of the closed k-neighborhood rows (dense_slab_rows):
+# rows go dense once their entries reach this share of rows x n. Measured on
+# ER, ring-lattice and PA graphs (n = 1k-4k, k = 2-4), the dense side wins
+# from a fill of about 0.07-0.12.
+DENSE_MIN_FILL = 0.1
+# Cells of one dense slab (16 MiB in float32); longer selections are cut.
+DENSE_SLAB_CELLS = 1 << 22
+# Rows sampled to measure the fill of R_k at k >= 2 (fewer where one dense
+# slab holds fewer).
+FILL_SAMPLE_ROWS = 32
+_FLOAT32_EXACT = 1 << 24
 
 
 class EdgeListParseError(ValueError):
@@ -150,6 +161,29 @@ def degree_stat(g: Graph, v: int) -> int:
     return int(g._deg[v])
 
 
+def _check_rows(g: Graph, vertices, k: int) -> np.ndarray:
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
+        raise ValueError(f"vertex out of range [0, {g.n})")
+    return vertices
+
+
+def _expansions(g: Graph, vertices: np.ndarray, k: int):
+    """R_0[vertices], R_1[vertices], ..., R_k[vertices] as 0/1 CSR rows,
+    column indices unsorted: each grows from the one before by the
+    frontier expansion r <- r @ M + r with the values clipped back to 1."""
+    rows = sp.csr_matrix(
+        (np.ones(vertices.size, dtype=np.int64), vertices,
+         np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
+    yield rows
+    for _ in range(k):
+        rows = rows @ g._und + rows
+        rows.data.fill(1)
+        yield rows
+
+
 def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
     """Rows of the closed k-th order neighborhood incidence matrix R_k.
 
@@ -158,20 +192,86 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
     column indices. The rows grow from the identity rows by k frontier
     expansions r <- r @ M + r, with the values clipped back to 1 after
     each, so only the requested rows are ever materialised.
+
+    These rows are the sparse side of the density switch. dense_slab_rows
+    sends a selection whose entries reach DENSE_MIN_FILL of rows x n to
+    closed_neighborhood_slab instead, which holds the same rows as dense
+    transposed slabs and counts in float32 while 2n and m stay within
+    2^24, float64 past that. neighborhood() always takes the sparse rows.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
-        raise ValueError(f"vertex out of range [0, {g.n})")
-    rows = sp.csr_matrix(
-        (np.ones(vertices.size, dtype=np.int64), vertices,
-         np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
-    for _ in range(k):
-        rows = rows @ g._und + rows
-        rows.data.fill(1)
+    for rows in _expansions(g, _check_rows(g, vertices, k), k):
+        pass
     rows.sort_indices()
     return rows
+
+
+def _fills_in(g: Graph, vertices: np.ndarray, k: int) -> bool:
+    """Whether the entries of R_k[vertices] reach DENSE_MIN_FILL of rows x n.
+
+    Orders 0 and 1 are counted exactly from the row lengths of M, in
+    O(rows). Higher orders are measured on the sparse rows of at most
+    FILL_SAMPLE_ROWS evenly spaced vertices of the selection, and of no more
+    than one dense slab holds, grown one expansion at a time until they
+    reach the fill: N_j[v] only grows with j.
+    """
+    if k <= 1:
+        entries = vertices.size
+        if k:
+            ind = g._und.indptr
+            entries += int((ind[vertices + 1] - ind[vertices]).sum())
+        return entries >= DENSE_MIN_FILL * vertices.size * g.n
+    sample_rows = min(FILL_SAMPLE_ROWS, DENSE_SLAB_CELLS // g.n)
+    sample = vertices[::-(-vertices.size // sample_rows)]
+    return any(rows.nnz >= DENSE_MIN_FILL * sample.size * g.n
+               for rows in _expansions(g, sample, k))
+
+
+def dense_slab_rows(g: Graph, vertices, k: int) -> int:
+    """The density switch: rows per dense slab of R_k[vertices], or 0 for sparse.
+
+    Dense slabs pay once R_k[vertices] is mostly filled in, when a sparse
+    product does dense work at sparse cost (the frontier-density switch
+    of direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012).
+    The rows go dense when their entries reach DENSE_MIN_FILL of rows x n
+    (_fills_in) and one row of n cells fits DENSE_SLAB_CELLS. Longer
+    selections are cut into slabs of at most DENSE_SLAB_CELLS cells.
+    """
+    vertices = _check_rows(g, vertices, k)
+    if not vertices.size or g.n > DENSE_SLAB_CELLS or not _fills_in(g, vertices, k):
+        return 0
+    return min(vertices.size, DENSE_SLAB_CELLS // g.n)
+
+
+def _count_dtype(g: Graph) -> type:
+    """The float type that counts exactly on the dense slabs of g.
+
+    A slab expansion holds values up to 2n (M's entries are 1 or 2), and
+    the sums taken over a slab stay below n (intersections) and m (edges
+    inside a neighborhood). float32 holds every integer up to 2^24, so it
+    counts exactly while 2n and m stay within that; float64 is used past it.
+    """
+    return np.float32 if max(2 * g.n, g.m) <= _FLOAT32_EXACT else np.float64
+
+
+def closed_neighborhood_slab(g: Graph, vertices, k: int) -> np.ndarray:
+    """R_k[vertices] transposed, as a dense n x len(vertices) 0/1 array.
+
+    Column i marks N_k[vertices[i]], like row i of closed_neighborhood_rows.
+    The slab starts from the sparse rows of R_1 and grows by k - 1
+    expansions C <- min(C + M @ C, 1): M is symmetric, so M @ C is the
+    transpose of R @ M, a sparse @ dense product. The values are counted
+    in _count_dtype(g), so every value is exact.
+    """
+    first = closed_neighborhood_rows(g, vertices, min(k, 1))
+    size = first.shape[0]
+    slab = np.zeros((g.n, size), dtype=_count_dtype(g))
+    slab[first.indices, np.repeat(np.arange(size), np.diff(first.indptr))] = 1
+    for _ in range(k - 1):
+        grown = g._und @ slab
+        grown += slab
+        np.minimum(grown, 1, out=grown)
+        slab = grown
+    return slab
 
 
 def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:

@@ -150,6 +150,24 @@ def psi_oracle(n: int, src, dst, v: int, k: int) -> int:
     return count_edges_within(src, dst, bfs_set(adj, v, k))
 
 
+def dense_psi_oracle(n: int, src, dst, k: int) -> np.ndarray:
+    """Order-k statistic of every vertex by dense 0/1 matrix products.
+
+    reach marks N_k[v] in row v, so (reach @ adj) * reach marks the edges
+    with both endpoints inside; small graphs only.
+    """
+    adj = np.zeros((n, n))
+    adj[np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)] = 1.0
+    np.fill_diagonal(adj, 0.0)
+    if k == 0:
+        return (adj.sum(axis=0) + adj.sum(axis=1)).astype(np.int64)
+    hood = ((adj + adj.T + np.eye(n)) > 0).astype(float)
+    reach = np.eye(n)
+    for _ in range(k):
+        reach = ((reach @ hood) > 0).astype(float)
+    return np.rint(((reach @ adj) * reach).sum(axis=1)).astype(np.int64)
+
+
 def jaccard_oracle(n: int, src, dst, vi: int, vj: int, k: int) -> float:
     adj = undirected_adj(n, src, dst)
     a = bfs_set(adj, vi, k)

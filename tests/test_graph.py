@@ -2,6 +2,7 @@ import io
 import logging
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
-from activescan.graph import (_dense_ids, _fast_pairs, _loop_pairs, _parse_pairs,
-                              _sorted_unique, closed_neighborhood_rows)
+from activescan.graph import (_count_dtype, _dense_ids, _fast_pairs, _loop_pairs,
+                              _parse_pairs, _sorted_unique,
+                              closed_neighborhood_rows)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
 
@@ -380,3 +382,10 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(2, [0], [2])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [-1], [0])
+
+
+def test_dense_slabs_count_in_float32_only_while_exact():
+    # slab values reach 2n and sums reach m; float32 holds integers to 2^24
+    for n, m, want in [(2**23, 2**24, np.float32), (2**23 + 1, 5, np.float64),
+                       (10, 2**24 + 1, np.float64), (0, 0, np.float32)]:
+        assert _count_dtype(SimpleNamespace(n=n, m=m)) is want

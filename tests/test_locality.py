@@ -3,9 +3,11 @@ import pytest
 
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
+from activescan import graph
 from activescan.locality import oriented_pairs, psi1_rows
-from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph,
-                       psi_oracle, tri_graph, triangles_graph)
+from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph,
+                       planted_clique_graph, psi_oracle, tri_graph,
+                       triangles_graph)
 
 
 def out_star(leaves: int) -> Graph:
@@ -196,4 +198,80 @@ def test_negative_k_rejected():
     with pytest.raises(ValueError):
         psi_k(g, 0, -1)
     with pytest.raises(ValueError):
+        psi_all(g, -1)
+
+
+# (DENSE_MIN_FILL, slab rows): a fill of 0 sends every selection to the dense
+# slabs and one above 1 none; a slab of 7 rows cuts every sweep into many
+SWITCH_SIDES = {"sparse": (2.0, None), "dense": (0.0, None), "dense7": (0.0, 7)}
+
+
+def force_side(monkeypatch, g, side):
+    fill, rows = SWITCH_SIDES[side]
+    monkeypatch.setattr(graph, "DENSE_MIN_FILL", fill)
+    if rows:
+        monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", rows * g.n)
+
+
+def switch_graphs(family):
+    if family in HUB_FAMILIES:
+        return HUB_FAMILIES[family]()
+    if family.startswith("er"):
+        s = int(family[2:])
+        return er_graph(70, 0.02 + 0.02 * s, s + 80)
+    g = generate_sbm(paper_params(seed=int(family[3:]))).graph
+    return (g, *g.edge_arrays())
+
+
+@pytest.mark.parametrize("family", [*HUB_FAMILIES, "er0", "er1", "er2",
+                                    "sbm0", "sbm1", "sbm2"])
+def test_psi_all_exact_on_both_sides_of_the_switch(family, monkeypatch):
+    g, src, dst = switch_graphs(family)
+    # psi_oracle on every vertex of the small graphs, on every 25th of the SBM
+    # (1,000 vertices), where the dense-matrix oracle covers every vertex
+    checked = range(0, g.n, 25 if family.startswith("sbm") else 1)
+    for k in (2, 3, 5):
+        want = dense_psi_oracle(g.n, src, dst, k)
+        assert [want[v] for v in checked] == [psi_oracle(g.n, src, dst, v, k)
+                                              for v in checked]
+        for side in SWITCH_SIDES:
+            with monkeypatch.context() as patch:
+                force_side(patch, g, side)
+                got = psi_all(g, k)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (side, k)
+
+
+def test_psi_all_sbm_k2_takes_the_dense_side():
+    g = generate_sbm(paper_params(seed=0)).graph
+    assert graph.dense_slab_rows(g, np.arange(g.n), 2) == g.n  # one slab
+    assert graph.dense_slab_rows(g, np.arange(g.n), 1) == 0  # R_1 is ~2% full
+
+
+def edge_case_graphs():
+    """Isolated vertices; a self-loop and a repeated edge in the input; a
+    path of diameter 4 with an isolated vertex, whose orders 5 and 9 reach
+    past the diameter. Each comes with the edges the graph keeps."""
+    out = [(Graph.from_edges(5, [0, 1], [1, 0]), [0, 1], [1, 0])]
+    src, dst = [0, 1, 1, 2, 2, 3, 0], [1, 1, 2, 0, 0, 2, 1]
+    kept = sorted({(a, b) for a, b in zip(src, dst) if a != b})
+    out.append((Graph.from_edges(4, src, dst), *map(list, zip(*kept))))
+    path_src, path_dst = [0, 1, 2, 4, 3], [1, 2, 3, 3, 4]
+    out.append((Graph.from_edges(6, path_src, path_dst), path_src, path_dst))
+    return out
+
+
+@pytest.mark.parametrize("side", SWITCH_SIDES)
+def test_psi_all_edge_cases_on_both_sides_of_the_switch(side, monkeypatch):
+    empty = Graph.from_edges(0, [], [])
+    force_side(monkeypatch, empty, side)
+    for k in (2, 3, 5):
+        assert psi_all(empty, k).tolist() == []
+    for g, src, dst in edge_case_graphs():
+        force_side(monkeypatch, g, side)
+        for k in (2, 3, 5, 9):
+            want = [psi_oracle(g.n, src, dst, v, k) for v in range(g.n)]
+            assert psi_all(g, k).tolist() == want, (g, k)
+    g = tri_graph()
+    force_side(monkeypatch, g, side)
+    with pytest.raises(ValueError, match="k must be non-negative"):
         psi_all(g, -1)

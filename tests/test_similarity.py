@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from activescan import (Graph, build_similarity_matrix, generate_sbm, jaccard,
                         paper_params, psi_all, read_similarity_csv,
                         write_similarity_csv)
-from activescan import similarity
-from _testutil import HUB_FAMILIES, er_graph, jaccard_oracle, tri_graph
+from activescan import graph, similarity
+from _testutil import (HUB_FAMILIES, er_graph, jaccard_oracle, star_graph,
+                       tri_graph)
 
 
 def test_jaccard_identity():
@@ -110,9 +113,75 @@ def test_blocked_matches_unblocked_on_hub_graphs_k2(family, monkeypatch):
     g, _, _ = HUB_FAMILIES[family]()
     sel = list(range(0, g.n, g.n // 30))
     full = build_similarity_matrix(g, sel, 2)
+    # R_2 of a hub graph fills in: the full build is one dense slab
+    assert graph.dense_slab_rows(g, sel, 2) == len(sel)
     monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", 3 * g.n)
+    assert graph.dense_slab_rows(g, sel, 2) == 3  # dense slabs of three rows
     blocked = build_similarity_matrix(g, sel, 2)
     assert np.array_equal(full.values, blocked.values)
+    monkeypatch.setattr(graph, "DENSE_MIN_FILL", 2.0)
+    assert graph.dense_slab_rows(g, sel, 2) == 0  # sparse row blocks
+    blocked = build_similarity_matrix(g, sel, 2)
+    assert np.array_equal(full.values, blocked.values)
+
+
+def switch_cases():
+    for family in HUB_FAMILIES:
+        yield family, HUB_FAMILIES[family]()[0]
+    for s in range(2):
+        yield f"er{s}", er_graph(80, 0.04 + 0.05 * s, s + 90)[0]
+
+
+# (sparse row-block entries, dense slab rows); None keeps the default
+@pytest.mark.parametrize("blocks,rows", [(None, None), (40, 1), (2000, 7)])
+def test_dense_side_equals_sparse_side_byte_for_byte(blocks, rows, monkeypatch):
+    if blocks:
+        monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", blocks)
+    for name, g in switch_cases():
+        if rows:
+            monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", rows * g.n)
+        sel = list(range(1, g.n, 3))
+        for k in (1, 2, 3):
+            sides = []
+            for fill in (0.0, 2.0):  # every selection dense, then none
+                monkeypatch.setattr(graph, "DENSE_MIN_FILL", fill)
+                sides.append(build_similarity_matrix(g, sel, k).values)
+            assert np.array_equal(sides[0], sides[1]), (name, k)
+
+
+def test_hub_jaccard_k2_memory_is_bounded():
+    # R_2 of 200 leaves of a 2,000-vertex star holds every vertex: the sparse
+    # product R R^T peaked at ~19 MiB, the dense slab holds 1.6 MB
+    g = star_graph(2000)[0]
+    sel = np.arange(1, g.n, 10)
+    tracemalloc.start()
+    try:
+        s = build_similarity_matrix(g, sel, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(s.values, np.ones((sel.size, sel.size)))
+    assert peak <= 8 * 2**20
+
+
+def test_dense_jaccard_holds_two_slabs_not_the_selection(monkeypatch):
+    # 1,000 leaves of a 20,000-vertex star in 40-row slabs: R_2[S] is 80 MB
+    # of float32 and one slab 3.2 MB. The build holds the 8 MB result, two
+    # slabs and a third while a partner slab grows (~17 MB); before that,
+    # the fill check's 32 sparse rows of R_2 and their sum reach ~15 MB
+    g = star_graph(20_000)[0]
+    sel = np.arange(1, g.n, 20)
+    monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", 40 * g.n)
+    assert graph.dense_slab_rows(g, sel, 2) == 40
+    tracemalloc.start()
+    try:
+        s = build_similarity_matrix(g, sel, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(s.values, np.ones((sel.size, sel.size)))
+    assert peak <= 32 * 2**20
 
 
 def test_similarity_csv_roundtrip(tmp_path):

@@ -7,8 +7,9 @@ from activescan import (Graph, TopQResult, est_lstat1, est_lstat2,
                         generate_sbm, paper_params, psi_all, read_trim_report,
                         topQ_lstat, topQ_lstat_parallel, write_trim_report)
 from activescan.locality import _bounds
-from _testutil import (HUB_FAMILIES, er_graph, planted_clique_graph, star_graph,
-                       tri_graph, triangles_graph)
+from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph,
+                       planted_clique_graph, star_graph, tri_graph,
+                       triangles_graph)
 
 
 def brute_topq_values(g, q):
@@ -21,8 +22,9 @@ def result_values(result, q):
 
 def sweep_entries(g, q, k):
     """Every vertex whose order-k statistic reaches the Q-th value, by
-    (-value, id): the top-Q entries with all boundary ties."""
-    scores = psi_all(g, k)
+    (-value, id): the top-Q entries with all boundary ties. The statistic
+    comes from the dense-matrix oracle, not from the library's sweep."""
+    scores = dense_psi_oracle(g.n, *g.edge_arrays(), k)
     kth = np.sort(scores)[::-1][q - 1]
     return sorted(((v, int(s)) for v, s in enumerate(scores) if s >= kth),
                   key=lambda e: (-e[1], e[0]))
