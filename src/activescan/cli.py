@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -219,8 +220,8 @@ def _cmd_detect(cfg: dict) -> int:
     coords = mds.coords if mds.coords.shape[1] == 2 else \
         np.column_stack([mds.coords, np.zeros(sim.order)])
     _write_csv(out_dir / "mds.csv", ["vertex", "x", "y"],
-               [(int(v), repr(float(x)), repr(float(y)))
-                for v, (x, y) in zip(selected, coords)])
+               [(v, repr(x), repr(y))
+                for v, (x, y) in zip(selected.tolist(), coords.tolist())])
 
     diagnostics = {
         "n": g.n, "m": g.m, "q": cfg["q"], "k": cfg["k"], "similarity_k": sim_k,
@@ -339,8 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call; parsing leaves the parser unchanged
+_cached_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         return args.func(_options(args))
     except Exception as exc:  # machine-readable failure for scripting

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -29,6 +31,10 @@ DENSE_SLAB_CELLS = 1 << 22
 # slab holds fewer).
 FILL_SAMPLE_ROWS = 32
 _FLOAT32_EXACT = 1 << 24
+# np.loadtxt opens a file name with these suffixes through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# bytes per read of the scan for a bare '\r'
+_SCAN_CHUNK = 1 << 20
 
 
 class EdgeListParseError(ValueError):
@@ -307,21 +313,33 @@ def induced_edge_count(g: Graph, s) -> int:
     return int(mask[_out_targets(g, s)].sum())
 
 
-def _file_lines(path) -> list:
-    """The lines of a file split at '\n' only, for the line loop.
+def _split_lines(data: bytes) -> list:
+    """The lines of a file's bytes split at '\n' only, for the line loop.
 
-    A file that is not valid UTF-8 stays bytes, so the line loop raises the
+    Bytes that are not valid UTF-8 stay bytes, so the line loop raises the
     decoding error at its line.
     """
-    data = Path(path).read_bytes()
     try:
         return data.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return data.split(b"\n")
 
 
+def _has_bare_cr(fh) -> bool:
+    """Whether a binary file holds a '\r' not followed by '\n', read from the
+    current position in chunks of _SCAN_CHUNK bytes."""
+    carry = b""  # a '\r' that ended the last chunk
+    while chunk := fh.read(_SCAN_CHUNK):
+        chunk = carry + chunk
+        carry = chunk[-1:] if chunk.endswith(b"\r") else b""
+        body = chunk[:len(chunk) - len(carry)]
+        if b"\r" in body and body.count(b"\r") != body.count(b"\r\n"):
+            return True
+    return bool(carry)
+
+
 def _fast_pairs(source) -> np.ndarray | None:
-    """All pairs by one C-level parse of an open file or a list of lines, or
+    """All pairs by one C-level parse of a file name or a list of lines, or
     None where the line loop must decide.
 
     Accepts only what the loop accepts with the same values: the parse
@@ -369,13 +387,32 @@ def _loop_pairs(lines: list) -> np.ndarray:
 
 
 def _parse_pairs(source) -> np.ndarray:
-    """All pairs of an edge-list path or iterable of lines; lines end at '\n' only."""
+    """All pairs of an edge-list path or iterable of lines; lines end at '\n' only.
+
+    np.loadtxt reads a file given by name in C-level chunks, but opens it
+    through numpy's data sources with universal newlines. A path goes there
+    only when that reads the lines the loop reads: a regular file whose
+    name picks no decompressor (_COMPRESSED_SUFFIXES) and is no URL, and
+    which holds no bare '\r' ('\r\n' becomes '\n', and the loop strips the
+    '\r'). Any other path (a pipe, a device, an odd name, a bare '\r') is
+    read once, and both parses run on its lines in memory.
+    """
     if isinstance(source, (str, Path)):
-        # newline="\n" ends lines at '\n' alone, as the line loop does
-        with open(source, encoding="utf-8", newline="\n") as fh:
-            pairs = _fast_pairs(fh)
-        return pairs if pairs is not None else _loop_pairs(_file_lines(source))
-    lines = list(source)
+        name = os.fspath(source)
+        with open(name, "rb") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            by_name = (regular and not name.endswith(_COMPRESSED_SUFFIXES)
+                       and "://" not in name and not _has_bare_cr(fh))
+            if not by_name:
+                if regular:
+                    fh.seek(0)  # back from the scan
+                lines = _split_lines(fh.read())
+        if by_name:  # the loop reads a regular file again
+            pairs = _fast_pairs(name)
+            return pairs if pairs is not None else _loop_pairs(
+                _split_lines(Path(name).read_bytes()))
+    else:
+        lines = list(source)
     pairs = _fast_pairs(lines)
     return pairs if pairs is not None else _loop_pairs(lines)
 

@@ -139,6 +139,8 @@ def topQ_lstat_parallel(g: Graph, q: int, workers: int = 1, k: int = 1) -> TopQR
 # CSV writes a float with three decimals
 _REPORT_FIELDS = {"computed_count": int, "est1_count": int, "est2_count": int,
                  "wall_ms": float}
+# one [vertex, value] pair of the JSON entries, laid out as json.dumps(indent=2)
+_JSON_ENTRY = "\n    [\n      %d,\n      %d\n    ]"
 
 
 def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> None:
@@ -146,9 +148,12 @@ def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> No
     path = Path(path)
     fields = {name: getattr(result, name) for name in _REPORT_FIELDS}
     if fmt == "json":
-        payload = {"q": q, **fields,
-                   "entries": [[int(v), int(val)] for v, val in result.entries]}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        # the bytes of json.dumps(payload, indent=2) + "\n", with the entries
+        # formatted from one template rather than by the pure-Python encoder
+        head = json.dumps({"q": q, **fields}, indent=2)[:-2]  # up to the closing "\n}"
+        body = ",".join([_JSON_ENTRY % (v, val) for v, val in result.entries])
+        entries = f"[{body}\n  ]" if body else "[]"
+        path.write_text(f'{head},\n  "entries": {entries}\n}}\n')
     elif fmt == "csv":
         meta = [f"{fields[name]:.3f}" if kind is float else fields[name]
                 for name, kind in _REPORT_FIELDS.items()]

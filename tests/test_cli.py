@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +128,26 @@ def test_topq_repeated_runs_identical_reports(tmp_path):
                         res.est2_count))
     assert reports[0] == reports[1] == reports[2]
     assert reports[0][2] < g.n  # the run prunes, so the counters are non-trivial
+
+
+def test_topq_reads_a_piped_edge_list_once(tmp_path):
+    # the C parse fails on the comment, so the line loop needs the same lines
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    report = tmp_path / "r.json"
+    for text, rc, want in (
+            ("0 1\n# c\n1 2\n", 0, None),
+            ("0 1\nx 2\n", 1, {"error": "EdgeListParseError",
+                               "message": "line 2: non-integer token in 'x 2'"})):
+        run = subprocess.run(
+            [sys.executable, "-m", "activescan.cli", "topq", "--input", "/dev/stdin",
+             "--Q", "1", "--out", str(report)],
+            input=text, capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == rc, run.stderr
+        if want:
+            assert json.loads(run.stderr) == want
+    q, res = read_trim_report(report)
+    assert (q, res.entries) == (1, [(1, 2)])
 
 
 def test_sbm_paper_flag_writes_expected_files(tmp_path, capsys):

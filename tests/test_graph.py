@@ -1,6 +1,8 @@
 import io
 import logging
+import os
 import re
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,8 +12,8 @@ import pytest
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
-from activescan.graph import (_count_dtype, _dense_ids, _fast_pairs, _loop_pairs,
-                              _parse_pairs, _sorted_unique,
+from activescan.graph import (_count_dtype, _dense_ids, _fast_pairs, _has_bare_cr,
+                              _loop_pairs, _parse_pairs, _sorted_unique,
                               closed_neighborhood_rows)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
@@ -101,7 +103,7 @@ def test_fast_parse_agrees_with_line_loop(case, tmp_path):
             continue
         assert fast.dtype == np.int64
         assert fast.tolist() == _loop_pairs(lines).tolist()
-    # a path is parsed from the open file
+    # a path is parsed by name
     path = tmp_path / "case.edges"
     path.write_text(f"5 6\n{case}\n7 8\n", encoding="utf-8", newline="")
     try:
@@ -134,6 +136,116 @@ def test_load_edge_list_parity_cases(tmp_path):
     path.write_bytes(b"0 1\n1 \xff\n")
     with pytest.raises(UnicodeDecodeError):
         load_edge_list(path)
+
+
+# The parity inputs above as file bytes: each PARSE_CASES line between two
+# valid lines, and the whole files of test_load_edge_list_parity_cases.
+PATH_CORPUS = [f"5 6\n{case}\n7 8\n".encode() for case in PARSE_CASES] + [
+    b"0 1\n1 2 # c\n", b"0 1\n\n1.5 2\n", b"0x1 2\n", b"0 1\n1 2\r3 4\n",
+    b"2 -1\n", b"# header\n1_0 2\r\n\n  \t\n2 10\n", b"0 1\n1 \xff\n", b"",
+    b"1 2\r", b"1 2\r\n3 4\r\n", b"1 2\r\r\n3 4\n"]
+
+
+def _outcome(parse):
+    """Pairs as lists, or the error's type, message and line number."""
+    try:
+        return parse().tolist()
+    except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@pytest.mark.parametrize("suffix", [".edges", ".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_path_parse_agrees_with_line_loop(suffix, eol, tmp_path):
+    # plain text under a decompressor's suffix, CRLF and bare-'\r' line ends:
+    # every path gives the loop's values or the loop's located error
+    path = tmp_path / f"case{suffix}"
+    for data in PATH_CORPUS:
+        data = data.replace(b"\n", eol)
+        path.write_bytes(data)
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = data.split(b"\n")
+        assert _outcome(lambda: _parse_pairs(path)) == _outcome(lambda: _loop_pairs(lines))
+
+
+def _loadtxt_sources(monkeypatch) -> list:
+    """Record whether each np.loadtxt call got a file name."""
+    names = []
+    loadtxt = np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        names.append(isinstance(source, str))
+        return loadtxt(source, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return names
+
+
+def test_regular_plain_files_are_parsed_by_name(tmp_path, monkeypatch):
+    names = _loadtxt_sources(monkeypatch)
+    (tmp_path / "a:").mkdir()
+    for name, data, by_name in (
+            ("plain.edges", b"0 1\n1 2\n", True), ("crlf.edges", b"0 1\r\n1 2\r\n", True),
+            ("noeol.edges", b"0 1\n1 2", True), ("plain.gz", b"0 1\n1 2\n", False),
+            ("plain.bz2", b"0 1\n1 2\n", False), ("plain.xz", b"0 1\n1 2\n", False),
+            ("plain.lzma", b"0 1\n1 2\n", False), ("a://b", b"0 1\n1 2\n", False),
+            ("bare.edges", b"0 1\n1 2\r", False)):
+        path = f"{tmp_path}/{name}"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        names.clear()
+        assert _parse_pairs(path).tolist() == [[0, 1], [1, 2]], name
+        assert names == [by_name], name
+    names.clear()
+    assert _parse_pairs(["0 1", "1 2"]).tolist() == [[0, 1], [1, 2]]
+    assert names == [False]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
+def test_bare_cr_scan_across_chunks(chunk, monkeypatch):
+    monkeypatch.setattr("activescan.graph._SCAN_CHUNK", chunk)
+    for data in (b"", b"\r", b"\n", b"\r\n", b"ab\r\ncd", b"ab\r\r\n", b"a\rb",
+                 b"1 2\r\n3 4\r", b"\r\n" * 7, b"\r\n\r\n\r\r\n", b"12\r\n\r"):
+        want = re.search(b"\r(?!\n)", data) is not None
+        assert _has_bare_cr(io.BytesIO(data)) is want, data
+
+
+def _load_fifo(fifo, data: bytes):
+    """load_edge_list(fifo) while a thread writes data into it: the graph and
+    mapping, or the error raised."""
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    def read():
+        try:
+            out.append(load_edge_list(fifo, with_mapping=True))
+        except Exception as exc:
+            out.append(exc)
+    out = []
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for t in threads:
+        t.start()
+    threads[1].join(timeout=30)
+    if threads[1].is_alive():  # a second open of the FIFO waits for a writer
+        with open(fifo, "wb"):
+            pass
+        threads[1].join(timeout=30)
+        pytest.fail("the FIFO was opened twice")
+    return out[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_is_read_once(tmp_path):
+    # the C parse fails on the comment; the loop must get the same lines
+    fifo = tmp_path / "edges.fifo"
+    os.mkfifo(fifo)
+    g, ids = _load_fifo(fifo, b"0 1\n# c\n1 2\n")
+    assert ids.tolist() == [0, 1, 2] and g == Graph.from_edges(3, [0, 1], [1, 2])
+    exc = _load_fifo(fifo, b"0 1\nx 2\n")
+    assert isinstance(exc, EdgeListParseError) and exc.line_no == 2
+    assert str(exc) == "line 2: non-integer token in 'x 2'"
 
 
 def test_sorted_unique_matches_np_unique():

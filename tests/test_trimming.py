@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -259,3 +260,24 @@ def test_trim_report_bytes_are_pinned(tmp_path):
     assert (tmp_path / "r.csv").read_bytes() == (
         b"q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms\r\n"
         b"2,4,9,5,6,3,1.250\r\n2,0,7,5,6,3,1.250\r\n2,2,7,5,6,3,1.250\r\n")
+
+
+@pytest.mark.parametrize("wall_ms", [0.0, 1e-05, 12345.678])
+@pytest.mark.parametrize("entries", [
+    [], [(3, 5)], [(4, 9), (0, 7), (2, 7), (5, 7)],  # ties at the Q-th value
+    [(2**31, 2**31 + 1), (2**63 - 1, 2**40), (0, 0)]])
+def test_trim_report_writer_matches_json_dumps(entries, wall_ms, tmp_path):
+    r = TopQResult(entries=entries, computed_count=11, est1_count=2**33,
+                   est2_count=0, wall_ms=wall_ms)
+    path = tmp_path / "r.json"
+    write_trim_report(r, 2, path, "json")
+    payload = {"q": 2, "computed_count": 11, "est1_count": 2**33, "est2_count": 0,
+               "wall_ms": wall_ms, "entries": [list(e) for e in entries]}
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+    q, back = read_trim_report(path)
+    assert (q, back) == (2, r)
+    write_trim_report(r, 2, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_bytes() == "".join(
+        f"{row}\r\n" for row in ["q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms",
+                                  *(f"2,{v},{val},11,{2**33},0,{wall_ms:.3f}"
+                                    for v, val in entries)]).encode()
