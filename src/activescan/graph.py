@@ -20,15 +20,15 @@ _BIN_DTYPE = np.dtype("<u8")
 # below this multiple of the endpoint count (at most 9 bytes per slot, so 36
 # per endpoint); sparser ids are sorted instead.
 _BITMAP_MAX_RATIO = 4
-# The density switch of the closed k-neighborhood rows (dense_slab_rows):
-# rows go dense once their entries reach this share of rows x n. Measured on
-# ER, ring-lattice and PA graphs (n = 1k-4k, k = 2-4), the dense side wins
-# from a fill of about 0.07-0.12.
+# The density switch of neighborhood_blocks: rows go dense once their mean
+# entries reach this share of n. Measured on ER, ring-lattice and PA graphs
+# (n = 1k-4k, k = 2-4), the dense side wins from a fill of about 0.07-0.12.
 DENSE_MIN_FILL = 0.1
-# Cells of one dense slab (16 MiB in float32); longer selections are cut.
-DENSE_SLAB_CELLS = 1 << 22
-# Rows sampled to measure the fill of R_k at k >= 2 (fewer where one dense
-# slab holds fewer).
+# Cells of one neighborhood block: a dense row counts n cells (16 MiB of
+# float32 per block), a sparse row its entries; longer selections are cut.
+BLOCK_CELLS = 1 << 22
+# Rows sampled to measure the entries of R_k at k >= 2 (fewer where one
+# dense block holds fewer).
 FILL_SAMPLE_ROWS = 32
 _FLOAT32_EXACT = 1 << 24
 # np.loadtxt opens a file name with these suffixes through a decompressor
@@ -70,18 +70,28 @@ def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uniq // n, uniq % n
 
 
+def _csr(data, indices, indptr, shape) -> sp.csr_array:
+    """A CSR array with int32 index arrays where they fit: scipy's sparse
+    arrays, unlike its sparse matrices, keep the index type they are given."""
+    idx = np.int32 if max(*shape, len(indices)) < 2**31 else np.int64
+    return sp.csr_array((data, np.asarray(indices, dtype=idx),
+                         np.asarray(indptr, dtype=idx)), shape=shape)
+
+
 class Graph:
     """Immutable directed graph without self-loops or duplicate edges.
 
     Vertices are dense integers in [0, n). The graph is two n x n scipy CSR
-    matrices with strictly increasing column indices per row: A, the
+    arrays with strictly increasing column indices per row: A, the
     directed 0/1 adjacency (row v holds the out-neighbors of v), and
     M = A + A^T, the undirected view, whose value at (v, z) is the pair's
     directed multiplicity (1, or 2 for a reciprocal pair). Both are built
     in O(n + m) from sorted rows: scipy forms A^T by a counting transpose
     and merges sorted rows into M. In-neighbors, degrees and the unit
-    undirected matrix are derived from A and M. Every array is read-only,
-    so instances are safe to share between any number of concurrent readers.
+    undirected matrix are derived from A and M. Both are sparse arrays, not
+    sparse matrices, so * is elementwise on every product built from them,
+    as on numpy arrays. Every array is read-only, so instances are safe to
+    share between any number of concurrent readers.
     """
 
     __slots__ = ("n", "m", "_adj", "_und", "_deg")
@@ -90,9 +100,8 @@ class Graph:
         """Graph on n vertices from CSR rows that are sorted, loop-free and
         free of repeats (what from_edges and read_binary guarantee)."""
         self.n = int(n)
-        self._adj = sp.csr_matrix(
-            (np.ones(len(targets), dtype=np.int8), targets, offsets),
-            shape=(self.n, self.n))
+        self._adj = _csr(np.ones(len(targets), dtype=np.int8), targets, offsets,
+                         (self.n, self.n))
         self._und = self._adj + self._adj.T
         self.m = int(self._adj.nnz)
         self._deg = np.asarray(self._und.sum(axis=1), dtype=np.int64).ravel()
@@ -179,10 +188,12 @@ def _check_rows(g: Graph, vertices, k: int) -> np.ndarray:
 def _expansions(g: Graph, vertices: np.ndarray, k: int):
     """R_0[vertices], R_1[vertices], ..., R_k[vertices] as 0/1 CSR rows,
     column indices unsorted: each grows from the one before by the
-    frontier expansion r <- r @ M + r with the values clipped back to 1."""
-    rows = sp.csr_matrix(
-        (np.ones(vertices.size, dtype=np.int64), vertices,
-         np.arange(vertices.size + 1)), shape=(vertices.size, g.n))
+    frontier expansion r <- r @ M + r with the values clipped back to 1.
+    Every value of a product of such rows with M, A or each other stays
+    below 2n, so int32 counts them while 2n < 2^31."""
+    count = np.int32 if 2 * g.n < 2**31 else np.int64
+    rows = _csr(np.ones(vertices.size, dtype=count), vertices,
+                np.arange(vertices.size + 1), (vertices.size, g.n))
     yield rows
     for _ in range(k):
         rows = rows @ g._und + rows
@@ -190,62 +201,20 @@ def _expansions(g: Graph, vertices: np.ndarray, k: int):
         yield rows
 
 
-def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_matrix:
+def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_array:
     """Rows of the closed k-th order neighborhood incidence matrix R_k.
 
-    Row i of the returned len(vertices) x n 0/1 CSR matrix marks
+    Row i of the returned len(vertices) x n 0/1 CSR array marks
     N_k[vertices[i]] on the undirected view, centre included, with sorted
     column indices. The rows grow from the identity rows by k frontier
     expansions r <- r @ M + r, with the values clipped back to 1 after
-    each, so only the requested rows are ever materialised.
-
-    These rows are the sparse side of the density switch. dense_slab_rows
-    sends a selection whose entries reach DENSE_MIN_FILL of rows x n to
-    closed_neighborhood_slab instead, which holds the same rows as dense
-    transposed slabs and counts in float32 while 2n and m stay within
-    2^24, float64 past that. neighborhood() always takes the sparse rows.
+    each, so only the requested rows are ever materialised. They are the
+    sparse side of neighborhood_blocks; neighborhood() always takes them.
     """
     for rows in _expansions(g, _check_rows(g, vertices, k), k):
         pass
     rows.sort_indices()
     return rows
-
-
-def _fills_in(g: Graph, vertices: np.ndarray, k: int) -> bool:
-    """Whether the entries of R_k[vertices] reach DENSE_MIN_FILL of rows x n.
-
-    Orders 0 and 1 are counted exactly from the row lengths of M, in
-    O(rows). Higher orders are measured on the sparse rows of at most
-    FILL_SAMPLE_ROWS evenly spaced vertices of the selection, and of no more
-    than one dense slab holds, grown one expansion at a time until they
-    reach the fill: N_j[v] only grows with j.
-    """
-    if k <= 1:
-        entries = vertices.size
-        if k:
-            ind = g._und.indptr
-            entries += int((ind[vertices + 1] - ind[vertices]).sum())
-        return entries >= DENSE_MIN_FILL * vertices.size * g.n
-    sample_rows = min(FILL_SAMPLE_ROWS, DENSE_SLAB_CELLS // g.n)
-    sample = vertices[::-(-vertices.size // sample_rows)]
-    return any(rows.nnz >= DENSE_MIN_FILL * sample.size * g.n
-               for rows in _expansions(g, sample, k))
-
-
-def dense_slab_rows(g: Graph, vertices, k: int) -> int:
-    """The density switch: rows per dense slab of R_k[vertices], or 0 for sparse.
-
-    Dense slabs pay once R_k[vertices] is mostly filled in, when a sparse
-    product does dense work at sparse cost (the frontier-density switch
-    of direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012).
-    The rows go dense when their entries reach DENSE_MIN_FILL of rows x n
-    (_fills_in) and one row of n cells fits DENSE_SLAB_CELLS. Longer
-    selections are cut into slabs of at most DENSE_SLAB_CELLS cells.
-    """
-    vertices = _check_rows(g, vertices, k)
-    if not vertices.size or g.n > DENSE_SLAB_CELLS or not _fills_in(g, vertices, k):
-        return 0
-    return min(vertices.size, DENSE_SLAB_CELLS // g.n)
 
 
 def _count_dtype(g: Graph) -> type:
@@ -278,6 +247,69 @@ def closed_neighborhood_slab(g: Graph, vertices, k: int) -> np.ndarray:
         np.minimum(grown, 1, out=grown)
         slab = grown
     return slab
+
+
+def _entries_per_row(g: Graph, vertices: np.ndarray, k: int) -> float:
+    """Mean entries per row of R_k[vertices], the number the switch reads.
+
+    Exact at orders 0 and 1, from the row lengths of M in O(rows). Higher
+    orders are measured on the sparse rows of at most FILL_SAMPLE_ROWS
+    evenly spaced vertices of the selection, and of no more than one dense
+    block holds, grown one expansion at a time. The growth stops early
+    once the sample reaches DENSE_MIN_FILL of n where the dense side is
+    open: N_j[v] only grows with j, so the rows go dense either way.
+    """
+    if k <= 1:
+        entries = vertices.size
+        if k:
+            ind = g._und.indptr
+            entries += int((ind[vertices + 1] - ind[vertices]).sum())
+        return entries / vertices.size
+    sample_rows = max(1, min(FILL_SAMPLE_ROWS, BLOCK_CELLS // g.n))
+    sample = vertices[::-(-vertices.size // sample_rows)]
+    for rows in _expansions(g, sample, k):
+        if g.n <= BLOCK_CELLS and rows.nnz >= DENSE_MIN_FILL * sample.size * g.n:
+            break
+    return rows.nnz / sample.size
+
+
+def neighborhood_blocks(g: Graph, vertices, k: int):
+    """R_k[vertices] in row blocks, built on demand: (spans, block).
+
+    spans are the (lo, hi) row ranges that cover the selection in order,
+    without overlap; block(lo, hi) builds R_k[vertices[lo:hi]] transposed,
+    n x (hi - lo), column i marking N_k[vertices[lo + i]]. The full sweep
+    and the Jaccard stage read R_k only through this function.
+
+    It holds the density switch. Sparse rows cost one hashed entry per
+    product term, so once R_k is mostly ones a sparse product does dense
+    work at sparse cost; the rows then go dense (the frontier-density
+    switch of direction-optimizing BFS, Beamer, Asanovic & Patterson,
+    SC 2012). One measured number, the mean entries per row
+    (_entries_per_row), picks both the side and the cut:
+
+    - the rows go dense when it reaches DENSE_MIN_FILL of n and one row of
+      n cells fits BLOCK_CELLS. A dense block is closed_neighborhood_slab,
+      counted exactly in float32 while 2n and m stay within 2^24 and in
+      float64 past that; a sparse block is the CSC transpose of
+      closed_neighborhood_rows, counted in int32 while 2n < 2^31;
+    - a block holds at most BLOCK_CELLS cells, a dense row counting n
+      cells and a sparse row its mean entries.
+
+    Both kinds of block are arrays (numpy or scipy sparse), on which @ and
+    * mean the same, and give the same integers in every product.
+    """
+    vertices = _check_rows(g, vertices, k)
+    if not vertices.size:
+        return [], None
+    per_row = _entries_per_row(g, vertices, k)
+    dense = g.n <= BLOCK_CELLS and per_row >= DENSE_MIN_FILL * g.n
+    step = max(1, int(BLOCK_CELLS // (g.n if dense else per_row)))
+    spans = [(lo, min(lo + step, vertices.size))
+             for lo in range(0, vertices.size, step)]
+    if dense:
+        return spans, lambda lo, hi: closed_neighborhood_slab(g, vertices[lo:hi], k)
+    return spans, lambda lo, hi: closed_neighborhood_rows(g, vertices[lo:hi], k).T
 
 
 def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:
@@ -378,6 +410,8 @@ def _loop_pairs(lines: list) -> np.ndarray:
             raise EdgeListParseError(f"non-integer token in {line!r}", line_no) from None
         if a < 0 or b < 0:
             raise EdgeListParseError(f"negative vertex id in {line!r}", line_no)
+        if max(a, b) >= 1 << 63:  # past int64
+            raise EdgeListParseError(f"vertex id above 2^63 - 1 in {line!r}", line_no)
         srcs.append(a)
         dsts.append(b)
     if not srcs:
@@ -438,7 +472,7 @@ def load_edge_list(source, *, with_mapping: bool = False):
 
     Each non-comment line is "src dst" with arbitrary whitespace; lines
     starting with '#' and blank lines are skipped. Vertex ids may be any
-    non-negative integers and are remapped to dense [0, n); the mapping
+    integers in [0, 2^63) and are remapped to dense [0, n); the mapping
     (dense id -> original id) is returned when with_mapping is set.
     Self-loops and duplicate edges are dropped with a counted warning.
     Malformed input raises EdgeListParseError with its line number.

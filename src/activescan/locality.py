@@ -20,11 +20,8 @@ with no sum-of-deg^2 intermediate. The full order-1 sweep and the top-Q
 search both use it; local_stat is the independent scalar reference.
 
 Orders k >= 2 have no bounds and are ranked by the full sweep psi_all,
-the row sums of (R_k @ A) * R_k, where row v of R_k marks N_k[v]. R_k
-fills in quickly (on the paper SBM, R_2 is ~36% ones and R_3 ~99.8%),
-so the density switch of graph.dense_slab_rows builds it as dense slabs
-once its measured fill reaches graph.DENSE_MIN_FILL. The slabs count
-exactly: in float32 while 2n and m stay within 2^24, in float64 past it.
+the column sums of (A^T C) * C over the blocks C = R_k[block]^T of
+graph.neighborhood_blocks, where row v of R_k marks N_k[v].
 
 The two upper bounds that the search ranks vertices by are here too:
 est_lstat1 and est_lstat2 for one vertex, and _bounds for every vertex
@@ -38,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Graph, _out_targets, closed_neighborhood_rows,
-                    closed_neighborhood_slab, degree_stat, dense_slab_rows,
-                    induced_edge_count, neighborhood)
+from .graph import (Graph, _check_rows, _csr, _out_targets, degree_stat,
+                    induced_edge_count, neighborhood, neighborhood_blocks)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def _bounds(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return deg * deg + deg, total // 2
 
 
-def oriented_pairs(g: Graph) -> sp.csr_matrix:
+def oriented_pairs(g: Graph) -> sp.csr_array:
     """LM of the order-1 kernel: each undirected pair once, with its multiplicity.
 
     Row a holds the neighbors z that rank above a by (undirected degree,
@@ -148,31 +144,28 @@ def oriented_pairs(g: Graph) -> sp.csr_matrix:
     up = np.repeat(rank, size) < rank[nb]
     offsets = np.concatenate(([0], np.cumsum(up)))[off]
     kept = np.flatnonzero(up)
-    return sp.csr_matrix((g._und.data[kept].astype(np.int64), nb[kept], offsets),
-                         shape=(g.n, g.n))
+    return _csr(g._und.data[kept].astype(np.int64), nb[kept], offsets, (g.n, g.n))
 
 
-def _unit(g: Graph) -> sp.csr_matrix:
+def _unit(g: Graph) -> sp.csr_array:
     """U: M with every value 1, sharing M's index arrays."""
     und = g._und
-    return sp.csr_matrix((np.ones(und.nnz, dtype=np.int8), und.indices, und.indptr),
+    return sp.csr_array((np.ones(und.nnz, dtype=np.int8), und.indices, und.indptr),
                          shape=und.shape)
 
 
-def _psi1(deg: np.ndarray, rows: sp.csr_matrix, lm: sp.csr_matrix) -> np.ndarray:
+def _psi1(deg: np.ndarray, rows: sp.csr_array, lm: sp.csr_array) -> np.ndarray:
     inside = (rows @ lm).multiply(rows)
     return deg + np.asarray(inside.sum(axis=1)).ravel()
 
 
-def psi1_rows(g: Graph, vertices, lm: sp.csr_matrix | None = None) -> np.ndarray:
+def psi1_rows(g: Graph, vertices, lm: sp.csr_array | None = None) -> np.ndarray:
     """Exact order-1 statistic of the given vertices by the kernel.
 
     lm is oriented_pairs(g); pass it when evaluating several row sets of
     one graph, so that it is built once.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
-        raise ValueError(f"vertex out of range [0, {g.n})")
+    vertices = _check_rows(g, vertices, 1)
     if lm is None:
         lm = oriented_pairs(g)
     return _psi1(g.degrees()[vertices], _unit(g)[vertices], lm)
@@ -182,28 +175,20 @@ def psi_all(g: Graph, k: int) -> np.ndarray:
     """Locality statistic of order k for every vertex (full-sweep evaluation).
 
     Order 1 runs the kernel of the module docstring on every row. Higher
-    orders use the closed-neighborhood rows: row v of R_k marks N_k[v], and
-    the row sums of (R_k @ A) * R_k count the directed edges with both
-    endpoints marked. The density switch (graph.dense_slab_rows) picks the
-    form of R_k. Sparse, it is one CSR product. Dense, R_k is built in row
-    slabs held transposed, C = R_k[slab]^T, and R_k[slab] @ A is formed as
-    (A^T @ C)^T, so the statistic is the column sums of (A^T @ C) * C. The
-    slabs count in float32 while 2n and m stay below 2^24 and in float64
-    past that, so both sides give the same integers.
+    orders read R_k, whose row v marks N_k[v], in the blocks of
+    graph.neighborhood_blocks: each block is C = R_k[block]^T, and the
+    column sums of (A^T @ C) * C count the directed edges with both
+    endpoints in each neighborhood (R A = (A^T R^T)^T).
     """
     if k == 0:
         return g.degrees().copy()
     if k == 1:
         return _psi1(g.degrees(), _unit(g), oriented_pairs(g))
-    step = dense_slab_rows(g, np.arange(g.n), k)
-    if not step:
-        reach = closed_neighborhood_rows(g, np.arange(g.n), k)
-        inside = (reach @ g._adj).multiply(reach)
-        return np.asarray(inside.sum(axis=1)).ravel().astype(np.int64)
+    spans, block = neighborhood_blocks(g, np.arange(g.n), k)
     psi = np.empty(g.n, dtype=np.int64)
-    for lo in range(0, g.n, step):
-        reach = closed_neighborhood_slab(g, np.arange(lo, min(lo + step, g.n)), k)
+    for lo, hi in spans:
+        reach = block(lo, hi)
         inside = g._adj.T @ reach
         inside *= reach
-        psi[lo:lo + step] = inside.sum(axis=0)
+        psi[lo:hi] = inside.sum(axis=0)
     return psi

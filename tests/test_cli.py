@@ -138,7 +138,10 @@ def test_topq_reads_a_piped_edge_list_once(tmp_path):
     for text, rc, want in (
             ("0 1\n# c\n1 2\n", 0, None),
             ("0 1\nx 2\n", 1, {"error": "EdgeListParseError",
-                               "message": "line 2: non-integer token in 'x 2'"})):
+                               "message": "line 2: non-integer token in 'x 2'"}),
+            ("0 1\n1 99999999999999999999\n", 1, {
+                "error": "EdgeListParseError",
+                "message": "line 2: vertex id above 2^63 - 1 in '1 99999999999999999999'"})):
         run = subprocess.run(
             [sys.executable, "-m", "activescan.cli", "topq", "--input", "/dev/stdin",
              "--Q", "1", "--out", str(report)],

@@ -8,13 +8,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
+from activescan import graph
 from activescan.graph import (_count_dtype, _dense_ids, _fast_pairs, _has_bare_cr,
                               _loop_pairs, _parse_pairs, _sorted_unique,
-                              closed_neighborhood_rows)
+                              closed_neighborhood_rows, neighborhood_blocks)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
 
@@ -108,7 +110,7 @@ def test_fast_parse_agrees_with_line_loop(case, tmp_path):
     path.write_text(f"5 6\n{case}\n7 8\n", encoding="utf-8", newline="")
     try:
         want = _loop_pairs(["5 6", case, "7 8", ""]).tolist()
-    except (ValueError, OverflowError) as exc:  # the same error, raised by the loop
+    except ValueError as exc:  # the same error, raised by the loop
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             _parse_pairs(path)
     else:
@@ -123,7 +125,8 @@ def test_fast_parse_reads_plain_edge_lists():
 
 def test_load_edge_list_parity_cases(tmp_path):
     for text, line_no in (("0 1\n1 2 # c\n", 2), ("0 1\n\n1.5 2\n", 3),
-                          ("0x1 2\n", 1), ("0 1\n1 2\r3 4\n", 2), ("2 -1\n", 1)):
+                          ("0x1 2\n", 1), ("0 1\n1 2\r3 4\n", 2), ("2 -1\n", 1),
+                          ("0 1\n9223372036854775808 1\n", 2)):
         path = tmp_path / "bad.edges"
         path.write_text(text, newline="")
         with pytest.raises(EdgeListParseError) as exc:
@@ -150,7 +153,7 @@ def _outcome(parse):
     """Pairs as lists, or the error's type, message and line number."""
     try:
         return parse().tolist()
-    except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
         return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
@@ -501,3 +504,26 @@ def test_dense_slabs_count_in_float32_only_while_exact():
     for n, m, want in [(2**23, 2**24, np.float32), (2**23 + 1, 5, np.float64),
                        (10, 2**24 + 1, np.float64), (0, 0, np.float32)]:
         assert _count_dtype(SimpleNamespace(n=n, m=m)) is want
+
+
+@pytest.mark.parametrize("fill", [0.0, 2.0], ids=["dense", "sparse"])
+def test_neighborhood_blocks_cover_the_selection_with_its_rows(fill, monkeypatch):
+    # every selection on one side, cut into dense blocks of 3 rows or sparse
+    # blocks of 5 entries (at least one row each)
+    monkeypatch.setattr(graph, "DENSE_MIN_FILL", fill)
+    for family in HUB_FAMILIES:
+        g = HUB_FAMILIES[family]()[0]
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 5 if fill > 1 else 3 * g.n)
+        sel = np.arange(g.n - 1, -1, -2)
+        for k in (0, 1, 2, 3):
+            spans, block = neighborhood_blocks(g, sel, k)
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == sel.size and all(lo < hi for lo, hi in spans)
+            assert len(spans) > 1
+            for lo, hi in spans:
+                got = block(lo, hi)
+                assert sp.issparse(got) == (fill > 1)
+                got = got.toarray() if sp.issparse(got) else got
+                want = closed_neighborhood_rows(g, sel[lo:hi], k).toarray()
+                assert np.array_equal(got.T, want), (family, k, lo)
+    assert neighborhood_blocks(g, [], 2)[0] == []

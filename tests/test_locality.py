@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
 from activescan import graph
 from activescan.locality import oriented_pairs, psi1_rows
-from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph,
+from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph, pa_graph,
                        planted_clique_graph, psi_oracle, tri_graph,
                        triangles_graph)
 
@@ -201,16 +204,18 @@ def test_negative_k_rejected():
         psi_all(g, -1)
 
 
-# (DENSE_MIN_FILL, slab rows): a fill of 0 sends every selection to the dense
-# slabs and one above 1 none; a slab of 7 rows cuts every sweep into many
-SWITCH_SIDES = {"sparse": (2.0, None), "dense": (0.0, None), "dense7": (0.0, 7)}
+# (DENSE_MIN_FILL, block cells / n): a fill of 0 sends every selection to the
+# dense side and one above 1 none; 7n cells cut a dense sweep into blocks of
+# 7 rows and a sparse one into blocks of 7n entries, so both into many
+SWITCH_SIDES = {"sparse": (2.0, None), "dense": (0.0, None), "dense7": (0.0, 7),
+                "sparse7": (2.0, 7)}
 
 
 def force_side(monkeypatch, g, side):
     fill, rows = SWITCH_SIDES[side]
     monkeypatch.setattr(graph, "DENSE_MIN_FILL", fill)
     if rows:
-        monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", rows * g.n)
+        monkeypatch.setattr(graph, "BLOCK_CELLS", rows * g.n)
 
 
 def switch_graphs(family):
@@ -243,8 +248,25 @@ def test_psi_all_exact_on_both_sides_of_the_switch(family, monkeypatch):
 
 def test_psi_all_sbm_k2_takes_the_dense_side():
     g = generate_sbm(paper_params(seed=0)).graph
-    assert graph.dense_slab_rows(g, np.arange(g.n), 2) == g.n  # one slab
-    assert graph.dense_slab_rows(g, np.arange(g.n), 1) == 0  # R_1 is ~2% full
+    spans, block = graph.neighborhood_blocks(g, np.arange(g.n), 2)
+    assert spans == [(0, g.n)] and isinstance(block(0, 1), np.ndarray)  # one slab
+    spans, block = graph.neighborhood_blocks(g, np.arange(g.n), 1)
+    assert spans == [(0, g.n)] and sp.issparse(block(0, 1))  # R_1 is ~2% full
+
+
+def test_psi_all_k2_memory_is_bounded_on_a_pa_graph():
+    # R_2 of every vertex holds ~15M entries; the sweep builds it in blocks
+    # of ~4M entries (~122 MiB traced), where forming it whole peaked at 692 MiB
+    g = pa_graph(20_000)[0]
+    tracemalloc.start()
+    try:
+        psi = psi_all(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    checked = np.arange(0, g.n, 997)
+    assert psi[checked].tolist() == [psi_k(g, int(v), 2).value for v in checked]
+    assert peak <= 256 * 2**20
 
 
 def edge_case_graphs():

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from activescan import (Graph, build_similarity_matrix, generate_sbm, jaccard,
                         paper_params, psi_all, read_similarity_csv,
                         write_similarity_csv)
-from activescan import graph, similarity
+from activescan import graph
+from activescan.graph import BLOCK_CELLS
 from _testutil import (HUB_FAMILIES, er_graph, jaccard_oracle, star_graph,
                        tri_graph)
 
@@ -90,7 +92,8 @@ def test_blocked_computation_matches_unblocked(monkeypatch):
     g, _, _ = er_graph(90, 0.07, 17)
     sel = list(range(0, 90, 3))
     full = build_similarity_matrix(g, sel)
-    monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(graph, "BLOCK_CELLS", 40)
+    assert len(graph.neighborhood_blocks(g, sel, 1)[0]) > 1
     blocked = build_similarity_matrix(g, sel)
     assert np.array_equal(full.values, blocked.values)
 
@@ -114,14 +117,17 @@ def test_blocked_matches_unblocked_on_hub_graphs_k2(family, monkeypatch):
     sel = list(range(0, g.n, g.n // 30))
     full = build_similarity_matrix(g, sel, 2)
     # R_2 of a hub graph fills in: the full build is one dense slab
-    assert graph.dense_slab_rows(g, sel, 2) == len(sel)
-    monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", 40)
-    monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", 3 * g.n)
-    assert graph.dense_slab_rows(g, sel, 2) == 3  # dense slabs of three rows
+    spans, block = graph.neighborhood_blocks(g, sel, 2)
+    assert spans == [(0, len(sel))] and isinstance(block(0, 1), np.ndarray)
+    monkeypatch.setattr(graph, "BLOCK_CELLS", 3 * g.n)
+    spans, block = graph.neighborhood_blocks(g, sel, 2)
+    # dense slabs of three rows
+    assert spans[0] == (0, 3) and isinstance(block(0, 1), np.ndarray)
     blocked = build_similarity_matrix(g, sel, 2)
     assert np.array_equal(full.values, blocked.values)
     monkeypatch.setattr(graph, "DENSE_MIN_FILL", 2.0)
-    assert graph.dense_slab_rows(g, sel, 2) == 0  # sparse row blocks
+    spans, block = graph.neighborhood_blocks(g, sel, 2)
+    assert len(spans) > 1 and sp.issparse(block(0, 1))  # sparse row blocks
     blocked = build_similarity_matrix(g, sel, 2)
     assert np.array_equal(full.values, blocked.values)
 
@@ -133,19 +139,19 @@ def switch_cases():
         yield f"er{s}", er_graph(80, 0.04 + 0.05 * s, s + 90)[0]
 
 
-# (sparse row-block entries, dense slab rows); None keeps the default
-@pytest.mark.parametrize("blocks,rows", [(None, None), (40, 1), (2000, 7)])
+# (block cells on the sparse side, dense slab rows); None keeps the default
+# budget. 40 cells cut the sparse side into many blocks at k >= 2, 300 into a few.
+@pytest.mark.parametrize("blocks,rows", [(None, None), (40, 1), (2000, 7), (300, 3)])
 def test_dense_side_equals_sparse_side_byte_for_byte(blocks, rows, monkeypatch):
-    if blocks:
-        monkeypatch.setattr(similarity, "ROW_BLOCK_ENTRIES", blocks)
     for name, g in switch_cases():
-        if rows:
-            monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", rows * g.n)
         sel = list(range(1, g.n, 3))
+        dense_cells = rows * g.n if rows else BLOCK_CELLS
         for k in (1, 2, 3):
             sides = []
-            for fill in (0.0, 2.0):  # every selection dense, then none
+            # every selection dense, then none
+            for fill, cells in ((0.0, dense_cells), (2.0, blocks or BLOCK_CELLS)):
                 monkeypatch.setattr(graph, "DENSE_MIN_FILL", fill)
+                monkeypatch.setattr(graph, "BLOCK_CELLS", cells)
                 sides.append(build_similarity_matrix(g, sel, k).values)
             assert np.array_equal(sides[0], sides[1]), (name, k)
 
@@ -172,8 +178,9 @@ def test_dense_jaccard_holds_two_slabs_not_the_selection(monkeypatch):
     # the fill check's 32 sparse rows of R_2 and their sum reach ~15 MB
     g = star_graph(20_000)[0]
     sel = np.arange(1, g.n, 20)
-    monkeypatch.setattr(graph, "DENSE_SLAB_CELLS", 40 * g.n)
-    assert graph.dense_slab_rows(g, sel, 2) == 40
+    monkeypatch.setattr(graph, "BLOCK_CELLS", 40 * g.n)
+    spans, block = graph.neighborhood_blocks(g, sel, 2)
+    assert spans[0] == (0, 40) and isinstance(block(0, 1), np.ndarray)
     tracemalloc.start()
     try:
         s = build_similarity_matrix(g, sel, 2)
