@@ -17,6 +17,12 @@ est1_count / est2_count, the vertices whose deg^2 + deg / capped bound
 is >= t, i.e. what that bound alone would leave to compute. At a detect
 --k other than 1 there are no bounds: all n vertices are computed and
 both estimates are 0.
+
+detect also writes timings.json: its wall time and, for each stage (load,
+rank, similarity, model selection, clustering, MDS, write), the wall ms
+spent in it and the process's peak resident set (VmHWM, kB) read after
+it, null where /proc/self/status is missing. The other outputs never hold
+a timing other than diagnostics.json's trim_wall_ms.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,7 +185,41 @@ def _load_params(cfg: dict):
     raise ValueError("either --paper or --params is required")
 
 
+PROC_STATUS = "/proc/self/status"
+
+
+def _vm_hwm_kb() -> int | None:
+    """The process's peak resident set in kB, None where /proc has no status."""
+    try:
+        with open(PROC_STATUS) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+class _StageClock:
+    """Wall ms per stage, summed over a stage's laps, and VmHWM after its last."""
+
+    def __init__(self, stages):
+        self.start = self.mark = time.perf_counter()
+        self.stages = {name: {"wall_ms": 0.0, "vm_hwm_kb": None} for name in stages}
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.stages[stage]["wall_ms"] += (now - self.mark) * 1e3
+        self.stages[stage]["vm_hwm_kb"] = _vm_hwm_kb()
+        self.mark = now
+
+    def report(self) -> dict:
+        return {"wall_ms": (time.perf_counter() - self.start) * 1e3, "stages": self.stages}
+
+
 def _cmd_detect(cfg: dict) -> int:
+    clock = _StageClock(("load", "rank", "similarity", "model_selection", "clustering",
+                         "mds", "write"))
     if cfg["sigma"] is not None and not cfg["sigma"] > 0:
         raise ValueError("sigma must be positive")
     if cfg["clusters"] is not None and cfg["clusters"] > cfg["q"]:
@@ -187,17 +228,21 @@ def _cmd_detect(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
 
     g = load_edge_list(in_path)
+    clock.lap("load")
     result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"], cfg["k"])
+    clock.lap("rank")
     _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg['k']}"],
                [(v, val) for v, val in result.entries])
+    clock.lap("write")
 
     selected = np.array([v for v, _ in result.entries[:cfg["q"]]], dtype=np.int64)
     sim_k = cfg["similarity_k"] if cfg["similarity_k"] is not None else max(cfg["k"], 1)
     sim = build_similarity_matrix(g, selected, sim_k)
+    clock.lap("similarity")
     if cfg["emit_similarity"]:
         write_similarity_csv(sim, out_dir / "similarity.csv")
+        clock.lap("write")
 
-    sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
     max_c = min(cfg["max_clusters"], sim.order)
     floor_applied = False
     if cfg["clusters"] is not None:
@@ -208,15 +253,20 @@ def _cmd_detect(cfg: dict) -> int:
         evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
-    # formed only now and held by no name here, so no other Q x Q array of
-    # model selection or MDS is alive beside the affinity
+    clock.lap("model_selection")
+    sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
+    # formed only now and held by no name here: model selection's arrays
+    # are gone, and MDS forms its own after the clustering returns
     assignment, diag = spectral_cluster(
         rbf_affinity(sim.values, sigma), num_clusters,
         derive_seed(cfg["seed"], "spectral"), vertices=selected)
+    clock.lap("clustering")
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
                zip(assignment.vertices.tolist(), assignment.labels.tolist()))
+    clock.lap("write")
 
     mds = classical_mds(sim.values, dims=min(2, sim.order))
+    clock.lap("mds")
     coords = mds.coords if mds.coords.shape[1] == 2 else \
         np.column_stack([mds.coords, np.zeros(sim.order)])
     _write_csv(out_dir / "mds.csv", ["vertex", "x", "y"],
@@ -235,6 +285,8 @@ def _cmd_detect(cfg: dict) -> int:
         "seed": cfg["seed"], "workers": cfg["workers"],
     }
     (out_dir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
+    clock.lap("write")
+    (out_dir / "timings.json").write_text(json.dumps(clock.report(), indent=2) + "\n")
     return 0
 
 

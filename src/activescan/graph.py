@@ -370,21 +370,42 @@ def _has_bare_cr(fh) -> bool:
     return bool(carry)
 
 
+def _head_length(lines) -> int:
+    """How many leading lines the line loop skips: blank, or '#' once stripped."""
+    count = 0
+    for raw in lines:
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+        except UnicodeDecodeError:
+            break  # the loop raises it at its line
+        if line and not line.startswith("#"):
+            break
+        count += 1
+    return count
+
+
 def _fast_pairs(source) -> np.ndarray | None:
     """All pairs by one C-level parse of a file name or a list of lines, or
     None where the line loop must decide.
 
     Accepts only what the loop accepts with the same values: the parse
-    reads optionally signed decimal integers split by whitespace, and any
-    other token (comment marks, floats, hex, digit separators), a column
-    count other than 2, a negative id or an empty input sends the lines
-    back to the loop, which reports the located error or skips comments.
+    skips the leading blank and comment lines (a header), reads optionally
+    signed decimal integers split by whitespace, and any other token
+    (comment marks after the header, floats, hex, digit separators), a
+    column count other than 2, a negative id or an empty input sends the
+    lines back to the loop, which reports the located error or skips
+    comments.
     """
+    if isinstance(source, list):  # np.loadtxt takes each item as one line
+        skip = _head_length(source)
+    else:  # a name, whose lines end at '\n' as the loop's do (no bare '\r')
+        with open(source, "rb") as fh:
+            skip = _head_length(fh)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; the loop rejects it
             pairs = np.loadtxt(source, dtype=np.int64, comments=None, ndmin=2,
-                               encoding="utf-8")
+                               skiprows=skip, encoding="utf-8")
     except (ValueError, TypeError):  # UnicodeDecodeError is a ValueError
         return None
     if pairs.size == 0 or pairs.shape[1] != 2 or pairs.min() < 0:

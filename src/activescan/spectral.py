@@ -209,15 +209,30 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     and correctly rounded, so that distance is the root of the k-th
     smallest squared distance, bitwise, and no distance matrix is formed.
 
+    The profiles are read in place: values' diagonal is zeroed while the
+    squared norms and the Gram product are formed, then put back before
+    anything else runs, so at the peak the only Q x Q arrays are values,
+    the profiles' double and the Gram product. A reader of values on
+    another thread would see the zeroed diagonal during the call. Inputs
+    that cannot be borrowed (read-only, not float64, neither C- nor
+    F-contiguous) are copied first.
+
     Used only to choose the cluster count; the clustering itself embeds the
     RBF affinity of 1 - S.
     """
-    profiles = np.array(values, dtype=float)
+    profiles = np.asarray(values, dtype=float)
+    flags = profiles.flags
+    if not (flags.writeable and (flags.c_contiguous or flags.f_contiguous)):
+        profiles = np.array(profiles)
+    diagonal = profiles.diagonal().copy()
     np.fill_diagonal(profiles, 0.0)
-    sq = (profiles ** 2).sum(axis=1)
-    # a general matrix product: profiles @ profiles.T would take BLAS's
-    # symmetric rank-k path, whose sums round differently
-    gram = (2.0 * profiles) @ profiles.T
+    try:
+        sq = (profiles ** 2).sum(axis=1)
+        # a general matrix product: profiles @ profiles.T would take BLAS's
+        # symmetric rank-k path, whose sums round differently
+        gram = (2.0 * profiles) @ profiles.T
+    finally:
+        np.fill_diagonal(profiles, diagonal)
     del profiles
     d2 = np.add.outer(sq, sq)
     d2 -= gram

@@ -40,6 +40,39 @@ def test_detect_smoke_three_cycle(tmp_path):
     assert np.array_equal(sim.values, np.ones((3, 3)))
 
 
+def test_detect_writes_stage_timings_beside_its_outputs(tmp_path, monkeypatch):
+    from activescan import cli, write_edge_list
+    lg_path = tmp_path / "g.edges"
+    write_edge_list(er_graph(120, 0.08, 3)[0], lg_path)
+    runs = []
+    for run, status in enumerate((cli.PROC_STATUS, str(tmp_path / "no-proc"))):
+        monkeypatch.setattr(cli, "PROC_STATUS", status)  # the second: no /proc
+        out = tmp_path / f"out{run}"
+        assert main(["detect", "--input", str(lg_path), "--Q", "40",
+                     "--out", str(out), "--seed", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "clusters.csv", "diagnostics.json", "mds.csv", "timings.json", "topq.csv"]
+        timings = json.loads((out / "timings.json").read_text())
+        assert list(timings) == ["wall_ms", "stages"]
+        assert list(timings["stages"]) == ["load", "rank", "similarity", "model_selection",
+                                           "clustering", "mds", "write"]
+        stages = timings["stages"].values()
+        assert all(list(s) == ["wall_ms", "vm_hwm_kb"] and s["wall_ms"] >= 0 for s in stages)
+        assert sum(s["wall_ms"] for s in stages) <= timings["wall_ms"]
+        peaks = [s["vm_hwm_kb"] for s in stages]
+        if not os.path.exists(status):
+            assert peaks == [None] * len(peaks)
+        else:
+            assert all(isinstance(kb, int) and kb > 0 for kb in peaks)
+            assert peaks == sorted(peaks)  # a high-water mark only rises
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert "trim_wall_ms" in diag and not any("time" in key for key in diag)
+        diag.pop("trim_wall_ms")
+        runs.append([diag] + [(out / name).read_bytes()
+                              for name in ("topq.csv", "clusters.csv", "mds.csv")])
+    assert runs[0] == runs[1]  # the timings change no other output
+
+
 def test_detect_missing_input_reports_error_json(tmp_path, capsys):
     rc = main(["detect", "--input", str(tmp_path / "absent.edges"),
                "--Q", "2", "--out", str(tmp_path / "o")])

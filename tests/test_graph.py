@@ -94,27 +94,43 @@ PARSE_CASES = [
     "1\xa02", "1\u20282 3 4", "\ufeff1 2", "1e3 2", "9223372036854775808 1",
     "\u0661 2",
 ]
+# a SNAP-style header: comment and blank lines before the first edge
+HEADER = ["# Directed graph: case.edges", "", "  # FromNodeId\tToNodeId \t"]
 
 
 @pytest.mark.parametrize("case", PARSE_CASES)
 def test_fast_parse_agrees_with_line_loop(case, tmp_path):
     for lines in ([case], ["5 6", case, "7 8"], ["# head", case],
-                  [x.encode() + b"\n" for x in ("5 6", case)]):
+                  [*HEADER, case, "7 8"], [x.encode() + b"\n" for x in ("5 6", case)]):
         fast = _fast_pairs(lines)
         if fast is None:
             continue
         assert fast.dtype == np.int64
         assert fast.tolist() == _loop_pairs(lines).tolist()
-    # a path is parsed by name
+    # a path is parsed by name, after a header too
     path = tmp_path / "case.edges"
-    path.write_text(f"5 6\n{case}\n7 8\n", encoding="utf-8", newline="")
-    try:
-        want = _loop_pairs(["5 6", case, "7 8", ""]).tolist()
-    except ValueError as exc:  # the same error, raised by the loop
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _parse_pairs(path)
-    else:
-        assert _parse_pairs(path).tolist() == want
+    for lines in (["5 6", case, "7 8", ""], [*HEADER, case, "7 8", ""]):
+        path.write_text("\n".join(lines), encoding="utf-8", newline="")
+        try:
+            want = _loop_pairs(lines).tolist()
+        except ValueError as exc:  # the same error, raised by the loop
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _parse_pairs(path)
+        else:
+            assert _parse_pairs(path).tolist() == want
+
+
+def test_a_leading_header_keeps_the_c_level_parse(tmp_path, monkeypatch):
+    # SNAP-style '#' lines and blank lines before the first edge are skipped
+    # by the C-level parse; a comment after it still sends the lines to the loop
+    path = tmp_path / "snap.edges"
+    path.write_text("\n".join([*HEADER, "5 6", "", "7 8", ""]))
+    lines = [*HEADER, "5 6", "7 8"]
+    assert _fast_pairs(lines).tolist() == [[5, 6], [7, 8]]
+    assert _fast_pairs([*HEADER, "5 6", "# mid", "7 8"]) is None
+    monkeypatch.setattr(graph, "_loop_pairs", None)  # the loop must not run
+    assert load_edge_list(path, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
+    assert load_edge_list(lines, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
 
 
 def test_fast_parse_reads_plain_edge_lists():
@@ -142,8 +158,10 @@ def test_load_edge_list_parity_cases(tmp_path):
 
 
 # The parity inputs above as file bytes: each PARSE_CASES line between two
-# valid lines, and the whole files of test_load_edge_list_parity_cases.
+# valid lines and after a header, and the whole files of
+# test_load_edge_list_parity_cases.
 PATH_CORPUS = [f"5 6\n{case}\n7 8\n".encode() for case in PARSE_CASES] + [
+    "\n".join([*HEADER, case, "7 8", ""]).encode() for case in PARSE_CASES] + [
     b"0 1\n1 2 # c\n", b"0 1\n\n1.5 2\n", b"0x1 2\n", b"0 1\n1 2\r3 4\n",
     b"2 -1\n", b"# header\n1_0 2\r\n\n  \t\n2 10\n", b"0 1\n1 \xff\n", b"",
     b"1 2\r", b"1 2\r\n3 4\r\n", b"1 2\r\r\n3 4\n"]

@@ -305,9 +305,11 @@ def test_model_selection_affinity_is_valid_affinity():
 
 
 def test_model_selection_affinity_forms_no_distance_matrix():
-    # the profiles, their double and the Gram product take three Q x Q
-    # arrays at the peak; a distance matrix makes more
-    q = 300
+    # the profiles are read in place, so beside the input only their double
+    # and the Gram product are Q x Q arrays at the peak; a copy of the
+    # profiles or a distance matrix makes more. About 0.14 MB of the peak
+    # does not scale with Q, so Q is large enough to keep it under 0.1 x 8Q^2.
+    q = 600
     s = np.clip(np.random.default_rng(5).random((q, q)), 0, 1)
     s = (s + s.T) / 2
     np.fill_diagonal(s, 1.0)
@@ -317,7 +319,22 @@ def test_model_selection_affinity_forms_no_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * q * q
+    assert peak <= 2.2 * 8 * q * q, peak / (8 * q * q)
+
+
+@pytest.mark.parametrize("kind", ["float64", "read-only", "int"])
+def test_model_selection_affinity_leaves_its_input_unchanged(kind):
+    s = similarity_like(60, 9)
+    s[3, 3] = np.nan  # the diagonal is put back bit for bit, NaN included
+    s[7, 7] = -0.0
+    if kind == "int":
+        s = (np.nan_to_num(s) * 4).astype(np.int64)
+    elif kind == "read-only":
+        s.flags.writeable = False
+    before = s.tobytes()
+    model_selection_affinity(s)
+    assert s.tobytes() == before
+    assert s.flags.writeable == (kind != "read-only")
 
 
 def test_mds_single_point_at_origin():
@@ -480,19 +497,25 @@ def test_spectral_cluster_tolerates_only_tiny_asymmetry(order):
                 spectral_cluster(bad, 3, seed=0)
 
 
-def test_detect_spectral_chain_holds_at_most_three_square_arrays():
-    # detect's order: the peak is model selection's profiles, their double
-    # and the Gram product; the RBF affinity is formed after it and dropped
-    # before MDS, and no stage keeps a transposed or spare Q x Q temporary
+def test_detect_spectral_chain_holds_two_square_arrays_beside_the_similarity():
+    # detect's order: model selection reads the similarity in place, so its
+    # peak is the profiles' double and the Gram product; the RBF affinity is
+    # formed after it and dropped before MDS, and no stage keeps a
+    # transposed or spare Q x Q temporary
     q = 1000
     s = similarity_like(q, 8)
-    tracemalloc.start()
-    try:
+
+    def chain():
         sigma = auto_sigma(s)
         evals = normalized_affinity_spectrum(model_selection_affinity(s), 20)
         spectral_cluster(rbf_affinity(s, sigma), estimate_num_clusters(evals, 20), seed=0)
         classical_mds(s, dims=2)
+
+    chain()  # untraced, so ARPACK's first import is not counted
+    tracemalloc.start()
+    try:
+        chain()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.1 * 8 * q * q, peak / (8 * q * q)
+    assert peak <= 2.2 * 8 * q * q, peak / (8 * q * q)
