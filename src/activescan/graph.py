@@ -30,7 +30,6 @@ BLOCK_CELLS = 1 << 22
 # Rows sampled to measure the entries of R_k at k >= 2 (fewer where one
 # dense block holds fewer).
 FILL_SAMPLE_ROWS = 32
-_FLOAT32_EXACT = 1 << 24
 # np.loadtxt opens a file name with these suffixes through a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # bytes per read of the scan for a bare '\r'
@@ -185,14 +184,19 @@ def _check_rows(g: Graph, vertices, k: int) -> np.ndarray:
     return vertices
 
 
+def count_width(g: Graph) -> type:
+    """The integer type that counts on g's neighborhood rows: every value
+    of a product of such rows with M, A or each other, and every row size
+    or union of two, stays below 2n, so int32 while 2n < 2^31."""
+    return np.int32 if 2 * g.n < 2**31 else np.int64
+
+
 def _expansions(g: Graph, vertices: np.ndarray, k: int):
     """R_0[vertices], R_1[vertices], ..., R_k[vertices] as 0/1 CSR rows,
-    column indices unsorted: each grows from the one before by the
-    frontier expansion r <- r @ M + r with the values clipped back to 1.
-    Every value of a product of such rows with M, A or each other stays
-    below 2n, so int32 counts them while 2n < 2^31."""
-    count = np.int32 if 2 * g.n < 2**31 else np.int64
-    rows = _csr(np.ones(vertices.size, dtype=count), vertices,
+    counted in count_width(g), column indices unsorted: each grows from the
+    one before by the frontier expansion r <- r @ M + r with the values
+    clipped back to 1."""
+    rows = _csr(np.ones(vertices.size, dtype=count_width(g)), vertices,
                 np.arange(vertices.size + 1), (vertices.size, g.n))
     yield rows
     for _ in range(k):
@@ -217,29 +221,24 @@ def closed_neighborhood_rows(g: Graph, vertices, k: int) -> sp.csr_array:
     return rows
 
 
-def _count_dtype(g: Graph) -> type:
-    """The float type that counts exactly on the dense slabs of g.
-
-    A slab expansion holds values up to 2n (M's entries are 1 or 2), and
-    the sums taken over a slab stay below n (intersections) and m (edges
-    inside a neighborhood). float32 holds every integer up to 2^24, so it
-    counts exactly while 2n and m stay within that; float64 is used past it.
-    """
-    return np.float32 if max(2 * g.n, g.m) <= _FLOAT32_EXACT else np.float64
-
-
 def closed_neighborhood_slab(g: Graph, vertices, k: int) -> np.ndarray:
     """R_k[vertices] transposed, as a dense n x len(vertices) 0/1 array.
 
     Column i marks N_k[vertices[i]], like row i of closed_neighborhood_rows.
     The slab starts from the sparse rows of R_1 and grows by k - 1
     expansions C <- min(C + M @ C, 1): M is symmetric, so M @ C is the
-    transpose of R @ M, a sparse @ dense product. The values are counted
-    in _count_dtype(g), so every value is exact.
+    transpose of R @ M, a sparse @ dense product.
+
+    The slab is float32, which holds every integer up to 2^24: an
+    expansion's values stay below 2n (M's entries are 1 or 2) and a
+    product of the slab with A or another slab at most n, so every value is
+    exact while 2n <= 2^24. neighborhood_blocks, the only caller, builds
+    slabs only while n <= BLOCK_CELLS = 2^22. Sums down a column of such a
+    product can pass 2^24 and are taken in a wider type.
     """
     first = closed_neighborhood_rows(g, vertices, min(k, 1))
     size = first.shape[0]
-    slab = np.zeros((g.n, size), dtype=_count_dtype(g))
+    slab = np.zeros((g.n, size), dtype=np.float32)
     slab[first.indices, np.repeat(np.arange(size), np.diff(first.indptr))] = 1
     for _ in range(k - 1):
         grown = g._und @ slab
@@ -290,9 +289,8 @@ def neighborhood_blocks(g: Graph, vertices, k: int):
 
     - the rows go dense when it reaches DENSE_MIN_FILL of n and one row of
       n cells fits BLOCK_CELLS. A dense block is closed_neighborhood_slab,
-      counted exactly in float32 while 2n and m stay within 2^24 and in
-      float64 past that; a sparse block is the CSC transpose of
-      closed_neighborhood_rows, counted in int32 while 2n < 2^31;
+      in float32; a sparse block is the CSC transpose of
+      closed_neighborhood_rows, in count_width(g);
     - a block holds at most BLOCK_CELLS cells, a dense row counting n
       cells and a sparse row its mean entries.
 

@@ -178,7 +178,8 @@ def psi_all(g: Graph, k: int) -> np.ndarray:
     orders read R_k, whose row v marks N_k[v], in the blocks of
     graph.neighborhood_blocks: each block is C = R_k[block]^T, and the
     column sums of (A^T @ C) * C count the directed edges with both
-    endpoints in each neighborhood (R A = (A^T R^T)^T).
+    endpoints in each neighborhood (R A = (A^T R^T)^T). The sums are taken
+    in int64: on a dense block they can pass what float32 holds exactly.
     """
     if k == 0:
         return g.degrees().copy()
@@ -190,5 +191,5 @@ def psi_all(g: Graph, k: int) -> np.ndarray:
         reach = block(lo, hi)
         inside = g._adj.T @ reach
         inside *= reach
-        psi[lo:hi] = inside.sum(axis=0)
+        psi[lo:hi] = inside.sum(axis=0, dtype=np.int64)
     return psi

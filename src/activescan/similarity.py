@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, neighborhood, neighborhood_blocks
+from .graph import Graph, count_width, neighborhood, neighborhood_blocks
 
 
 @dataclass
@@ -61,8 +61,7 @@ def build_similarity_matrix(g: Graph, selected, k: int = 1) -> SimilarityMatrix:
         raise ValueError("selected vertices must be distinct")
     if k < 1:
         raise ValueError("k must be >= 1")
-    # row sizes and unions are at most 2n
-    count = np.int32 if 2 * g.n < 2**31 else np.int64
+    count = count_width(g)
     spans, block = neighborhood_blocks(g, verts, k)
     values = np.empty((verts.size, verts.size))
     for i, (a, b) in enumerate(spans):

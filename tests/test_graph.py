@@ -14,9 +14,10 @@ from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
 from activescan import graph
-from activescan.graph import (_count_dtype, _dense_ids, _fast_pairs, _has_bare_cr,
-                              _loop_pairs, _parse_pairs, _sorted_unique,
-                              closed_neighborhood_rows, neighborhood_blocks)
+from activescan.graph import (_dense_ids, _fast_pairs, _has_bare_cr, _loop_pairs,
+                              _parse_pairs, _sorted_unique,
+                              closed_neighborhood_rows, count_width,
+                              neighborhood_blocks)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
 
@@ -517,11 +518,11 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(2, [-1], [0])
 
 
-def test_dense_slabs_count_in_float32_only_while_exact():
-    # slab values reach 2n and sums reach m; float32 holds integers to 2^24
-    for n, m, want in [(2**23, 2**24, np.float32), (2**23 + 1, 5, np.float64),
-                       (10, 2**24 + 1, np.float64), (0, 0, np.float32)]:
-        assert _count_dtype(SimpleNamespace(n=n, m=m)) is want
+def test_neighborhood_counts_are_int32_while_2n_stays_below_2_31():
+    # every count on the neighborhood rows, row sizes and unions included,
+    # stays below 2n
+    for n, want in [(2**30 - 1, np.int32), (2**30, np.int64), (0, np.int32)]:
+        assert count_width(SimpleNamespace(n=n)) is want
 
 
 @pytest.mark.parametrize("fill", [0.0, 2.0], ids=["dense", "sparse"])
@@ -541,6 +542,7 @@ def test_neighborhood_blocks_cover_the_selection_with_its_rows(fill, monkeypatch
             for lo, hi in spans:
                 got = block(lo, hi)
                 assert sp.issparse(got) == (fill > 1)
+                assert got.dtype == (count_width(g) if fill > 1 else np.float32)
                 got = got.toarray() if sp.issparse(got) else got
                 want = closed_neighborhood_rows(g, sel[lo:hi], k).toarray()
                 assert np.array_equal(got.T, want), (family, k, lo)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
-from activescan import graph
+from activescan import graph, locality
 from activescan.locality import oriented_pairs, psi1_rows
 from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph, pa_graph,
                        planted_clique_graph, psi_oracle, tri_graph,
@@ -244,6 +244,17 @@ def test_psi_all_exact_on_both_sides_of_the_switch(family, monkeypatch):
                 force_side(patch, g, side)
                 got = psi_all(g, k)
             assert got.dtype == np.int64 and np.array_equal(got, want), (side, k)
+
+
+def test_psi_all_sums_dense_columns_past_float32(monkeypatch):
+    # one float32 block whose column 0 gives (A^T C) * C = [0, 2^22, 2^22,
+    # 2^22, 2^22 + 1]: it sums to 2^24 + 1, which float32 rounds to 2^24
+    g = Graph.from_edges(5, [0, 0, 0, 0], [1, 2, 3, 4])
+    reach = np.zeros((5, 5), dtype=np.float32)
+    reach[:, 0] = [1, 2**22, 2**22, 2**22, 2**22 + 1]
+    monkeypatch.setattr(locality, "neighborhood_blocks",
+                        lambda *args: ([(0, 5)], lambda lo, hi: reach))
+    assert psi_all(g, 2).tolist() == [2**24 + 1, 0, 0, 0, 0]
 
 
 def test_psi_all_sbm_k2_takes_the_dense_side():
