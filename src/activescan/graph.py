@@ -44,31 +44,6 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of keys by one sort and an adjacent-difference mask.
-
-    np.unique takes a hash-based path on integer keys that is far slower
-    than sorting at edge-list sizes.
-    """
-    keys = np.sort(keys)
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
-def _clean_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop self-loops and duplicate directed edges; sort by (src, dst)."""
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return src, dst
-    n = int(max(src.max(), dst.max())) + 1
-    key = src.astype(np.int64) * n + dst.astype(np.int64)
-    uniq = _sorted_unique(key)
-    return uniq // n, uniq % n
-
-
 def _csr(data, indices, indptr, shape) -> sp.csr_array:
     """A CSR array with int32 index arrays where they fit: scipy's sparse
     arrays, unlike its sparse matrices, keep the index type they are given."""
@@ -123,10 +98,12 @@ class Graph:
         if src.size and (src.min() < 0 or dst.min() < 0
                          or src.max() >= n or dst.max() >= n):
             raise ValueError(f"edge endpoint out of range for n={n}")
-        src, dst = _clean_edges(src, dst)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        return cls(n, offsets, dst)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        # the conversion sorts each row and merges repeats; the graph never reads
+        # the data, and a bool sum cannot wrap to 0 however often a pair repeats
+        rows = sp.coo_array((np.ones(src.size, dtype=bool), (src, dst)), shape=(n, n)).tocsr()
+        return cls(n, rows.indptr, rows.indices)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -336,7 +313,7 @@ def induced_edge_count(g: Graph, s) -> int:
     whose target is a member; each inside edge has exactly one source, so
     it is counted once.
     """
-    s = np.asarray(list(s) if not isinstance(s, np.ndarray) else s, dtype=np.int64)
+    s = _check_rows(g, list(s) if not isinstance(s, np.ndarray) else s, 0)
     s = np.unique(s)  # set semantics even if the caller passed repeats
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True

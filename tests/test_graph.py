@@ -15,8 +15,7 @@ from activescan import (EdgeListParseError, Graph, degree_stat,
                         psi_all, read_binary, write_binary, write_edge_list)
 from activescan import graph
 from activescan.graph import (_dense_ids, _fast_pairs, _has_bare_cr, _loop_pairs,
-                              _parse_pairs, _sorted_unique,
-                              closed_neighborhood_rows, count_width,
+                              _parse_pairs, closed_neighborhood_rows, count_width,
                               neighborhood_blocks)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
                        pa_graph, raw_views, tri_graph, undirected_adj)
@@ -270,15 +269,6 @@ def test_fifo_is_read_once(tmp_path):
     assert str(exc) == "line 2: non-integer token in 'x 2'"
 
 
-def test_sorted_unique_matches_np_unique():
-    rng = np.random.default_rng(0)
-    for keys in (np.array([], dtype=np.int64), np.array([7]),
-                 rng.integers(0, 50, 500), rng.integers(-2**40, 2**40, 1000)):
-        got = _sorted_unique(keys)
-        assert got.dtype == keys.dtype
-        assert np.array_equal(got, np.unique(keys))
-
-
 @pytest.mark.parametrize("top", [0, 1, 50, 399, 400, 401, 10**6, 2**62])
 def test_dense_ids_match_np_unique(top):
     # 100 ids: the bitmap serves tops below 400, the sort every other
@@ -370,6 +360,13 @@ def view_cases():
     src = np.array([0, 1, 1, 2, 5, 5, 0])
     dst = np.array([1, 0, 2, 0, 2, 5, 1])
     cases["isolated"] = (Graph.from_edges(8, src, dst), src, dst)
+    # shuffled: one pair 256 times (an 8-bit count wraps to 0), a self-loop 5
+    # times, reciprocal pairs and the highest id, 9, isolated
+    src = np.array([4] * 256 + [3] * 5 + [0, 1, 2, 7, 8, 6, 2, 5])
+    dst = np.array([2] * 256 + [3] * 5 + [1, 0, 7, 2, 6, 8, 4, 0])
+    order = np.random.default_rng(0).permutation(src.size)
+    src, dst = src[order], dst[order]
+    cases["repeats"] = (Graph.from_edges(10, src, dst), src, dst)
     return cases
 
 
@@ -424,6 +421,11 @@ def test_induced_edge_count_cases():
     assert induced_edge_count(g, [0, 1, 2]) == 3
     assert induced_edge_count(g, [0, 1]) == 1
     assert induced_edge_count(g, []) == 0
+    # the same error as every other entry point, also where no edge is read
+    for h in (g, Graph.from_edges(3, [], [])):
+        for s in ([-1], [-3], [3], [0, 5], np.array([1, -2])):
+            with pytest.raises(ValueError, match=re.escape("vertex out of range [0, 3)")):
+                induced_edge_count(h, s)
 
 
 @pytest.mark.parametrize("seed", range(10))
