@@ -250,7 +250,8 @@ def _cmd_detect(cfg: dict) -> int:
     elif sim.order < 2 or max_c < 2:
         num_clusters = 1
     else:
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c,
+                                             overwrite_w=True)
         num_clusters = estimate_num_clusters(evals, max_c)
         floor_applied = eigengap_floor_applied(evals, max_c)
     clock.lap("model_selection")
@@ -259,7 +260,7 @@ def _cmd_detect(cfg: dict) -> int:
     # are gone, and MDS forms its own after the clustering returns
     assignment, diag = spectral_cluster(
         rbf_affinity(sim.values, sigma), num_clusters,
-        derive_seed(cfg["seed"], "spectral"), vertices=selected)
+        derive_seed(cfg["seed"], "spectral"), vertices=selected, overwrite_w=True)
     clock.lap("clustering")
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
                zip(assignment.vertices.tolist(), assignment.labels.tolist()))

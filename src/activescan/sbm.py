@@ -316,10 +316,12 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
         sel = ranked[:q]
         sim = build_similarity_matrix(lg.graph, sel, ARI_SIMILARITY_K)
         max_c = min(ARI_MAX_CLUSTERS, q)
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c)
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c,
+                                             overwrite_w=True)
         bhat = estimate_num_clusters(evals, max_c)
-        w = rbf_affinity(sim.values)
-        assignment, _ = spectral_cluster(w, bhat, derive_seed(run_seed, f"cluster:{q}"))
+        assignment, _ = spectral_cluster(rbf_affinity(sim.values), bhat,
+                                         derive_seed(run_seed, f"cluster:{q}"),
+                                         overwrite_w=True)
         out[qi] = ari(assignment.labels, lg.labels[sel])
     return out
 

@@ -8,10 +8,15 @@ eigenpairs of a dense Q x Q matrix, so each solves for just those.
 
 Two rules hold for the work around the solves. Every output is fixed to the
 bit: a faster or smaller way to form an array is used only when it gives
-the same bytes as the direct element-wise formula. And symmetry is first
-tested exactly, tile by tile with no transposed copy; the shortcuts that
-symmetry allows run only when that test passes, and otherwise each stage
-takes its general path (spectral_cluster falls back to np.allclose).
+the same bytes as the direct element-wise formula. The one product pinned
+otherwise is model selection's Gram product, P P^T by BLAS's symmetric
+rank-k update, whose sums round differently from a general product such as
+(2 P) P^T; its only outputs are the integer cluster count and the floor
+flag, and tests check those decisions against the general product. And
+symmetry is first tested exactly, tile by tile with no transposed copy; the
+shortcuts that symmetry allows run only when that test passes, and
+otherwise each stage takes its general path (spectral_cluster falls back to
+np.allclose).
 """
 
 from __future__ import annotations
@@ -150,19 +155,27 @@ def rbf_affinity(values: np.ndarray, sigma: float | None = None) -> np.ndarray:
     return w
 
 
-def _normalized_affinity(w: np.ndarray) -> np.ndarray:
+def _normalized_affinity(w: np.ndarray, overwrite_w: bool = False) -> np.ndarray:
+    """D^{-1/2} W D^{-1/2}, symmetrized; formed in w when overwrite_w and w is writable."""
     deg = w.sum(axis=1)
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    sym = w * inv_sqrt[:, None]
+    out = w if overwrite_w and w.flags.writeable else None
+    sym = np.multiply(w, inv_sqrt[:, None], out=out)
     sym *= inv_sqrt[None, :]
     return _symmetrize(sym)
 
 
-def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None) -> np.ndarray:
-    """The `count` largest eigenvalues of D^{-1/2} W D^{-1/2} (all by default), descending."""
-    sym = _normalized_affinity(np.asarray(w, dtype=float))
+def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None,
+                                 overwrite_w: bool = False) -> np.ndarray:
+    """The `count` largest eigenvalues of D^{-1/2} W D^{-1/2} (all by default), descending.
+
+    With overwrite_w the normalized matrix is formed in w's own memory, as
+    scipy's overwrite_a, so a caller that owns w saves a Q x Q array; w's
+    contents are then undefined. The eigenvalues are the same bits either way.
+    """
+    sym = _normalized_affinity(np.asarray(w, dtype=float), overwrite_w)
     q = sym.shape[0]
     if count is None:
         count = q
@@ -210,12 +223,14 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     smallest squared distance, bitwise, and no distance matrix is formed.
 
     The profiles are read in place: values' diagonal is zeroed while the
-    squared norms and the Gram product are formed, then put back before
-    anything else runs, so at the peak the only Q x Q arrays are values,
-    the profiles' double and the Gram product. A reader of values on
-    another thread would see the zeroed diagonal during the call. Inputs
-    that cannot be borrowed (read-only, not float64, neither C- nor
-    F-contiguous) are copied first.
+    squared norms and the Gram product P P^T are formed, then put back
+    before anything else runs. The product of the profiles with their own
+    transpose takes BLAS's symmetric rank-k update, and every later step
+    runs in place on it, in row tiles, so at the peak the only Q x Q arrays
+    are values and the Gram product. A reader of values on another thread
+    would see the zeroed diagonal during the call. Inputs that cannot be
+    borrowed (read-only, not float64, neither C- nor F-contiguous) are
+    copied first.
 
     Used only to choose the cluster count; the clustering itself embeds the
     RBF affinity of 1 - S.
@@ -228,24 +243,28 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     np.fill_diagonal(profiles, 0.0)
     try:
         sq = (profiles ** 2).sum(axis=1)
-        # a general matrix product: profiles @ profiles.T would take BLAS's
-        # symmetric rank-k path, whose sums round differently
-        gram = (2.0 * profiles) @ profiles.T
+        d2 = profiles @ profiles.T
     finally:
         np.fill_diagonal(profiles, diagonal)
     del profiles
-    d2 = np.add.outer(sq, sq)
-    d2 -= gram
-    del gram
-    np.maximum(d2, 0.0, out=d2)
-    kth = min(LOCAL_SCALE_K, d2.shape[0] - 1)
-    sigma = np.sqrt(np.partition(d2, kth, axis=1)[:, kth])
+    q = d2.shape[0]
+    kth = min(LOCAL_SCALE_K, q - 1)
+    sigma = np.empty(q)
+    for i in range(0, q, _TILE):  # max((sq_i + sq_j) - 2 G_ij, 0), then each row's kth
+        rows = d2[i:i + _TILE]
+        rows *= -2.0
+        rows += np.add.outer(sq[i:i + _TILE], sq)
+        np.maximum(rows, 0.0, out=rows)
+        sigma[i:i + _TILE] = np.partition(rows, kth, axis=1)[:, kth]
+    np.sqrt(sigma, out=sigma)
     sigma[sigma == 0] = 1.0
-    np.negative(d2, out=d2)
-    d2 /= np.outer(sigma, sigma)
-    w = np.exp(d2, out=d2)
-    np.fill_diagonal(w, 1.0)
-    return w
+    for i in range(0, q, _TILE):  # exp(-d2_ij / (sigma_i sigma_j))
+        rows = d2[i:i + _TILE]
+        np.negative(rows, out=rows)
+        rows /= np.outer(sigma[i:i + _TILE], sigma)
+        np.exp(rows, out=rows)
+    np.fill_diagonal(d2, 1.0)
+    return d2
 
 
 def _kmeans_once(x: np.ndarray, k: int,
@@ -294,7 +313,7 @@ def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
 
 
 def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
-                     vertices: np.ndarray | None = None
+                     vertices: np.ndarray | None = None, overwrite_w: bool = False
                      ) -> tuple[ClusterAssignment, SpectralDiagnostics]:
     """Normalized spectral clustering of a symmetric affinity matrix.
 
@@ -302,6 +321,7 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     D^{-1/2} W D^{-1/2}, row-normalizes (zero rows left as zero), and runs
     seeded k-means, best of KMEANS_RESTARTS, over the embedding. Identical
     (w, num_clusters, seed) always yields an identical assignment.
+    overwrite_w is as in normalized_affinity_spectrum.
     """
     w = np.asarray(w, dtype=float)
     q = w.shape[0]
@@ -314,7 +334,7 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     if vertices is None:
         vertices = np.arange(q, dtype=np.int64)
 
-    evals, embed = _top_eigh(_normalized_affinity(w), num_clusters)
+    evals, embed = _top_eigh(_normalized_affinity(w, overwrite_w), num_clusters)
     norms = np.linalg.norm(embed, axis=1)
     pos = norms > 0
     embed[pos] /= norms[pos, None]
@@ -350,12 +370,13 @@ def classical_mds(values: np.ndarray, dims: int = 2) -> MdsResult:
     if not _is_symmetric(d2):  # (d2 + d2^T) / 2 would leave a symmetric d2 as it is
         _symmetrize(d2)
     r = d2.mean(axis=1)
-    b = np.add.outer(r, r)
-    np.subtract(d2, b, out=b)
-    del d2
-    b += r.mean()
-    b *= -0.5
-    evals, evecs = _top_eigh(b, dims)
+    r_mean = r.mean()
+    for i in range(0, q, _TILE):  # b = -0.5 (d2 - (r_i + r_j) + mean(r)), in place
+        rows = d2[i:i + _TILE]
+        rows -= np.add.outer(r[i:i + _TILE], r)
+        rows += r_mean
+        rows *= -0.5
+    evals, evecs = _top_eigh(d2, dims)
     clamped = bool((evals < 0).any())
     coords = evecs * np.sqrt(np.clip(evals, 0, None))
     return MdsResult(coords=coords, eigenvalues=evals, negative_clamped=clamped)

@@ -2,16 +2,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from activescan import (ari, auto_sigma, classical_mds, estimate_num_clusters,
-                        model_selection_affinity, normalized_affinity_spectrum,
+from activescan import (ari, auto_sigma, build_similarity_matrix, classical_mds,
+                        estimate_num_clusters, generate_sbm, model_selection_affinity,
+                        normalized_affinity_spectrum, paper_params, psi_all,
                         rbf_affinity, spectral_cluster)
+from activescan.sbm import ARI_MAX_CLUSTERS, ARI_SIMILARITY_K
 from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric,
-                                 _normalized_affinity, _top_eigh)
+                                 _normalized_affinity, _top_eigh, eigengap_floor_applied)
+from activescan.trimming import _make_entries
 
 # Order of the matrices that exercise the Lanczos path; every other test
 # matrix is below the threshold and takes the dense path.
@@ -294,7 +298,7 @@ def test_model_selection_affinity_is_valid_affinity():
     profiles = s.copy()
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (profiles @ profiles.T), 0.0)
     sigma = np.sort(np.sqrt(d2), axis=1)[:, 3]  # the LOCAL_SCALE_K-th neighbour by a full sort
     want = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(want, 1.0)
@@ -305,11 +309,11 @@ def test_model_selection_affinity_is_valid_affinity():
 
 
 def test_model_selection_affinity_forms_no_distance_matrix():
-    # the profiles are read in place, so beside the input only their double
-    # and the Gram product are Q x Q arrays at the peak; a copy of the
-    # profiles or a distance matrix makes more. About 0.14 MB of the peak
-    # does not scale with Q, so Q is large enough to keep it under 0.1 x 8Q^2.
-    q = 600
+    # the profiles are read in place and every step after the Gram product
+    # runs on it in row tiles, so beside the input the peak is the Gram
+    # product and a few row tiles (about 0.26 x 8Q^2 at this Q); a copy of
+    # the profiles, a doubled operand or a distance matrix makes more
+    q = 1000
     s = np.clip(np.random.default_rng(5).random((q, q)), 0, 1)
     s = (s + s.T) / 2
     np.fill_diagonal(s, 1.0)
@@ -319,7 +323,7 @@ def test_model_selection_affinity_forms_no_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * q * q, peak / (8 * q * q)
+    assert peak <= 1.6 * 8 * q * q, peak / (8 * q * q)
 
 
 @pytest.mark.parametrize("kind", ["float64", "read-only", "int"])
@@ -335,6 +339,31 @@ def test_model_selection_affinity_leaves_its_input_unchanged(kind):
     model_selection_affinity(s)
     assert s.tobytes() == before
     assert s.flags.writeable == (kind != "read-only")
+
+
+@pytest.mark.parametrize("kind", ["float64", "read-only", "int"])
+@pytest.mark.parametrize("stage", [
+    lambda w, **kw: normalized_affinity_spectrum(w, 5, **kw),
+    lambda w, **kw: spectral_cluster(w, 3, seed=0, **kw),
+], ids=["normalized_affinity_spectrum", "spectral_cluster"])
+def test_affinity_stages_leave_their_input_unchanged_unless_told(stage, kind):
+    w = rbf_affinity(similarity_like(60, 9), sigma=0.5)
+    if kind == "int":
+        w = (w * 4).astype(np.int64)
+    elif kind == "read-only":
+        w.flags.writeable = False
+    before = w.tobytes()
+    want = stage(w)
+    assert w.tobytes() == before
+    owned = w.copy() if kind == "float64" else w
+    got = stage(owned, overwrite_w=True)
+    # a writable float64 input is normalized in place; an int input is
+    # converted first and a read-only one is not written
+    assert (owned.tobytes() != before) == (kind == "float64")
+    if isinstance(want, tuple):
+        assert np.array_equal(got[0].labels, want[0].labels)
+        want, got = want[1].eigenvalues, got[1].eigenvalues
+    assert np.array_equal(got, want)
 
 
 def test_mds_single_point_at_origin():
@@ -422,11 +451,15 @@ def reference_normalized_affinity(w):
     return (sym + sym.T) / 2.0
 
 
-def reference_model_selection(s):
+def reference_model_selection(s, doubled_operand=False):
+    """The direct formula; doubled_operand takes the general product (2 P) P^T
+    that model selection used before its symmetric P P^T."""
     profiles = s.copy()
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T, 0.0)
+    gram2 = ((2.0 * profiles) @ profiles.T if doubled_operand
+             else 2.0 * (profiles @ profiles.T))
+    d2 = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
     sigma = np.sqrt(np.partition(d2, 3, axis=1)[:, 3])
     sigma[sigma == 0] = 1.0
     w = np.exp(-d2 / np.outer(sigma, sigma))
@@ -497,18 +530,20 @@ def test_spectral_cluster_tolerates_only_tiny_asymmetry(order):
                 spectral_cluster(bad, 3, seed=0)
 
 
-def test_detect_spectral_chain_holds_two_square_arrays_beside_the_similarity():
-    # detect's order: model selection reads the similarity in place, so its
-    # peak is the profiles' double and the Gram product; the RBF affinity is
-    # formed after it and dropped before MDS, and no stage keeps a
-    # transposed or spare Q x Q temporary
+def test_detect_spectral_chain_holds_one_square_array_beside_the_similarity():
+    # detect's calls: model selection reads the similarity in place and
+    # works on its Gram product, which the spectrum then normalizes in place;
+    # the RBF affinity is formed after it and normalized in place, MDS
+    # centres its squared distances in place, and no stage keeps a
+    # transposed or spare Q x Q temporary, only row tiles
     q = 1000
     s = similarity_like(q, 8)
 
     def chain():
         sigma = auto_sigma(s)
-        evals = normalized_affinity_spectrum(model_selection_affinity(s), 20)
-        spectral_cluster(rbf_affinity(s, sigma), estimate_num_clusters(evals, 20), seed=0)
+        evals = normalized_affinity_spectrum(model_selection_affinity(s), 20, overwrite_w=True)
+        spectral_cluster(rbf_affinity(s, sigma), estimate_num_clusters(evals, 20), seed=0,
+                         overwrite_w=True)
         classical_mds(s, dims=2)
 
     chain()  # untraced, so ARPACK's first import is not counted
@@ -518,4 +553,37 @@ def test_detect_spectral_chain_holds_two_square_arrays_beside_the_similarity():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * q * q, peak / (8 * q * q)
+    assert peak <= 1.6 * 8 * q * q, peak / (8 * q * q)
+
+
+def paper_sbm_jaccard(seed, q):
+    """The ARI protocol's Jaccard matrix of one paper-SBM run's top q vertices."""
+    g = generate_sbm(replace(paper_params(), seed=seed)).graph
+    entries = _make_entries(np.arange(g.n), psi_all(g, 1), q)
+    selected = np.array([v for v, _ in entries], dtype=np.int64)
+    return build_similarity_matrix(g, selected, ARI_SIMILARITY_K).values
+
+
+def _decisions(w, max_c):
+    evals = normalized_affinity_spectrum(w, max_c)
+    return estimate_num_clusters(evals, max_c), eigengap_floor_applied(evals, max_c)
+
+
+@pytest.mark.parametrize("source", ["similarity_like", "paper_sbm"])
+def test_model_selection_decisions_match_the_doubled_operand_product(source):
+    # the symmetric rank-k product rounds some Gram entries differently from
+    # (2 P) P^T (similarity_like at orders 70, 100, 257 and 513 among them),
+    # but the cluster count and the floor flag, its only outputs, must agree
+    if source == "similarity_like":
+        matrices = [similarity_like(order, seed)
+                    for order in (70, 100, 257, 513) for seed in (8, order)]
+    else:
+        # leading blocks of the top-200 matrix: Jaccard is per pair, so each
+        # is the matrix of the top q vertices
+        matrices = [s[:q, :q] for s in (paper_sbm_jaccard(seed, 200) for seed in range(20))
+                    for q in (61, 70, 100, 150, 200)]
+    for s in matrices:
+        old = reference_model_selection(s, doubled_operand=True)
+        for max_c in (ARI_MAX_CLUSTERS, 10):  # the ARI harness's cap and detect's default
+            assert _decisions(model_selection_affinity(s), max_c) == _decisions(old, max_c), \
+                (len(s), max_c)
