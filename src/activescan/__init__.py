@@ -18,17 +18,16 @@ from .sbm import (AriResult, EvalCurve, LabeledGraph, RocResult, SBMParams,
 from .seeds import derive_seed
 from .similarity import (SimilarityMatrix, build_similarity_matrix, jaccard,
                          read_similarity_csv, write_similarity_csv)
-from .spectral import (ClusterAssignment, MdsResult, SpectralDiagnostics,
-                       auto_sigma, classical_mds, estimate_num_clusters,
-                       model_selection_affinity, normalized_affinity_spectrum,
-                       rbf_affinity, spectral_cluster)
+from .spectral import (MdsResult, SpectralDiagnostics, auto_sigma, classical_mds,
+                       estimate_num_clusters, model_selection_affinity,
+                       normalized_affinity_spectrum, rbf_affinity, spectral_cluster)
 from .trimming import (TopQResult, read_trim_report, topQ_lstat,
                        topQ_lstat_parallel, write_trim_report)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AriResult", "ClusterAssignment", "EdgeListParseError", "EvalCurve",
+    "AriResult", "EdgeListParseError", "EvalCurve",
     "Graph", "LabeledGraph", "LocalityScore", "MdsResult", "RocResult",
     "SBMParams", "SimilarityMatrix", "SpectralDiagnostics", "TopQResult",
     "VertexMarker", "ari", "auto_sigma",

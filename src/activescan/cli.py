@@ -157,14 +157,6 @@ def _write_csv(path, header, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty CSV: {path}")
-    return rows[0], rows[1:]
-
-
 def _parse_q_values(text: str) -> list[int]:
     vals = []
     for pos, tok in enumerate(text.replace(",", " ").split(), 1):
@@ -258,12 +250,11 @@ def _cmd_detect(cfg: dict) -> int:
     sigma = cfg["sigma"] if cfg["sigma"] is not None else auto_sigma(sim.values)
     # formed only now and held by no name here: model selection's arrays
     # are gone, and MDS forms its own after the clustering returns
-    assignment, diag = spectral_cluster(
-        rbf_affinity(sim.values, sigma), num_clusters,
-        derive_seed(cfg["seed"], "spectral"), vertices=selected, overwrite_w=True)
+    labels, diag = spectral_cluster(rbf_affinity(sim.values, sigma), num_clusters,
+                                    derive_seed(cfg["seed"], "spectral"), overwrite_w=True)
     clock.lap("clustering")
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
-               zip(assignment.vertices.tolist(), assignment.labels.tolist()))
+               zip(selected.tolist(), labels.tolist()))
     clock.lap("write")
 
     mds = classical_mds(sim.values, dims=min(2, sim.order))

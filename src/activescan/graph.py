@@ -296,35 +296,25 @@ def neighborhood(g: Graph, v: int, k: int) -> np.ndarray:
     return closed_neighborhood_rows(g, [v], k).indices.astype(np.int64)
 
 
-def _out_targets(g: Graph, members: np.ndarray) -> np.ndarray:
-    """Targets of every out-edge of the members, gathered in one pass."""
-    offsets = g._adj.indptr
-    lo = offsets[members]
-    lens = offsets[members + 1] - lo
-    # gather slot p of member r maps to CSR index p + lo[r] - (slots before r)
-    shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
-    return g._adj.indices[shift + np.arange(int(lens.sum()))]
-
-
 def induced_edge_count(g: Graph, s) -> int:
     """Number of directed edges with both endpoints in s.
 
-    Gathers the out-edges of the members in one pass and counts those
-    whose target is a member; each inside edge has exactly one source, so
-    it is counted once.
+    Gathers the out-lists of the members (the CSR rows of A) and counts
+    the targets that are members; each inside edge has exactly one source,
+    so it is counted once.
     """
     s = _check_rows(g, list(s) if not isinstance(s, np.ndarray) else s, 0)
     s = np.unique(s)  # set semantics even if the caller passed repeats
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True
-    return int(mask[_out_targets(g, s)].sum())
+    return int(mask[g._adj[s].indices].sum())
 
 
 def _split_lines(data: bytes) -> list:
     """The lines of a file's bytes split at '\n' only, for the line loop.
 
-    Bytes that are not valid UTF-8 stay bytes, so the line loop raises the
-    decoding error at its line.
+    Bytes that are not valid UTF-8 stay bytes, so the line loop reports the
+    first undecodable line by its number.
     """
     try:
         return data.decode("utf-8").split("\n")
@@ -393,7 +383,10 @@ def _loop_pairs(lines: list) -> np.ndarray:
     dsts: list[int] = []
     for line_no, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise EdgeListParseError(f"invalid UTF-8 in {raw!r}", line_no) from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

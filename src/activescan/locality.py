@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Graph, _check_rows, _csr, _out_targets, degree_stat,
-                    induced_edge_count, neighborhood, neighborhood_blocks)
+from .graph import (Graph, _check_rows, _csr, degree_stat, induced_edge_count,
+                    neighborhood, neighborhood_blocks)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def local_stat(g: Graph, v: int, marker: VertexMarker | None = None) -> Locality
         marker = VertexMarker(g.n)
     nb = g.neighbors(v)
     marker.mark(v, nb)
-    value = marker.count_marked(_out_targets(g, np.append(nb, v)))
+    value = marker.count_marked(g._adj[np.append(nb, v)].indices)
     return LocalityScore(vertex=v, k=1, value=value)
 
 

@@ -111,13 +111,9 @@ def generate_sbm(params: SBMParams) -> LabeledGraph:
             hits = _bernoulli_hits(rng, float(params.p[i, j]), int(sizes[i] * sizes[j]))
             if hits.size == 0:
                 continue
-            u = starts[i] + hits // sizes[j]
-            v = starts[j] + hits % sizes[j]
-            if i == j:
-                keep = u != v  # diagonal cells are drawn but discarded
-                u, v = u[keep], v[keep]
-            src_parts.append(u)
-            dst_parts.append(v)
+            # diagonal cells are drawn too; Graph.from_edges drops the self-loops
+            src_parts.append(starts[i] + hits // sizes[j])
+            dst_parts.append(starts[j] + hits % sizes[j])
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     labels = np.repeat(np.arange(1, params.num_blocks + 1), sizes)
@@ -311,18 +307,19 @@ def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
     scores = psi_all(lg.graph, k)
     entries = _make_entries(np.arange(lg.graph.n), scores, max(q_values))
     ranked = np.array([v for v, _ in entries], dtype=np.int64)
+    # a pair's Jaccard value does not depend on the other selected vertices,
+    # so each Q reads the leading Q x Q block of the largest Q's matrix
+    values = build_similarity_matrix(lg.graph, ranked, ARI_SIMILARITY_K).values
     out = np.empty(len(q_values))
     for qi, q in enumerate(q_values):
-        sel = ranked[:q]
-        sim = build_similarity_matrix(lg.graph, sel, ARI_SIMILARITY_K)
+        sim = values[:q, :q]
         max_c = min(ARI_MAX_CLUSTERS, q)
-        evals = normalized_affinity_spectrum(model_selection_affinity(sim.values), max_c,
+        evals = normalized_affinity_spectrum(model_selection_affinity(sim), max_c,
                                              overwrite_w=True)
         bhat = estimate_num_clusters(evals, max_c)
-        assignment, _ = spectral_cluster(rbf_affinity(sim.values), bhat,
-                                         derive_seed(run_seed, f"cluster:{q}"),
-                                         overwrite_w=True)
-        out[qi] = ari(assignment.labels, lg.labels[sel])
+        labels, _ = spectral_cluster(rbf_affinity(sim), bhat,
+                                     derive_seed(run_seed, f"cluster:{q}"), overwrite_w=True)
+        out[qi] = ari(labels, lg.labels[ranked[:q]])
     return out
 
 
@@ -330,11 +327,12 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
                     seed: int, *, workers: int = 1) -> AriResult:
     """Clustering accuracy of the pipeline on the top-Q vertices, per Q.
 
-    Per run and Q: select the Q highest order-k statistics (full sweep,
-    ties by ascending id), build the order-ARI_SIMILARITY_K Jaccard matrix,
-    cluster with the RBF + spectral pipeline (cluster count from the
-    eigengap, at most ARI_MAX_CLUSTERS), and score the assignment against
-    the true block labels of the selected vertices.
+    Per run: rank the vertices by the order-k statistic (full sweep, ties
+    by ascending id) and build the order-ARI_SIMILARITY_K Jaccard matrix of
+    the top max(q_values) once. Per Q: cluster the leading Q x Q block, the
+    Jaccard matrix of the top Q, with the RBF + spectral pipeline (cluster
+    count from the eigengap, at most ARI_MAX_CLUSTERS), and score the
+    labels against the true block labels of the selected vertices.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -38,12 +38,6 @@ _TILE = 256
 
 
 @dataclass
-class ClusterAssignment:
-    vertices: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass
 class SpectralDiagnostics:
     eigenvalues: np.ndarray  # the num_clusters leading ones, descending
     kmeans_inertia: float
@@ -313,15 +307,17 @@ def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
 
 
 def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
-                     vertices: np.ndarray | None = None, overwrite_w: bool = False
-                     ) -> tuple[ClusterAssignment, SpectralDiagnostics]:
+                     overwrite_w: bool = False) -> tuple[np.ndarray, SpectralDiagnostics]:
     """Normalized spectral clustering of a symmetric affinity matrix.
 
     Embeds each point by the top num_clusters eigenvectors of
     D^{-1/2} W D^{-1/2}, row-normalizes (zero rows left as zero), and runs
-    seeded k-means, best of KMEANS_RESTARTS, over the embedding. Identical
-    (w, num_clusters, seed) always yields an identical assignment.
-    overwrite_w is as in normalized_affinity_spectrum.
+    seeded k-means, best of KMEANS_RESTARTS, over the embedding. Returns
+    the int64 cluster label of every row of w, in row order, and the
+    diagnostics; a caller that clusters selected vertices pairs its own
+    vertex array with the labels. Identical (w, num_clusters, seed) always
+    yields identical labels. overwrite_w is as in
+    normalized_affinity_spectrum.
     """
     w = np.asarray(w, dtype=float)
     q = w.shape[0]
@@ -331,8 +327,6 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
         raise ValueError("affinity matrix must be symmetric")
     if not 1 <= num_clusters <= q:
         raise ValueError(f"num_clusters must be in [1, {q}]")
-    if vertices is None:
-        vertices = np.arange(q, dtype=np.int64)
 
     evals, embed = _top_eigh(_normalized_affinity(w, overwrite_w), num_clusters)
     norms = np.linalg.norm(embed, axis=1)
@@ -345,12 +339,8 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     else:
         labels, inertia = _kmeans(embed, num_clusters, seed)
         labels = labels.astype(np.int64)
-
-    assignment = ClusterAssignment(vertices=np.asarray(vertices, dtype=np.int64),
-                                   labels=labels)
-    diagnostics = SpectralDiagnostics(eigenvalues=evals, kmeans_inertia=inertia,
-                                      restarts_used=KMEANS_RESTARTS)
-    return assignment, diagnostics
+    return labels, SpectralDiagnostics(eigenvalues=evals, kmeans_inertia=inertia,
+                                       restarts_used=KMEANS_RESTARTS)
 
 
 def classical_mds(values: np.ndarray, dims: int = 2) -> MdsResult:

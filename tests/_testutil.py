@@ -1,4 +1,4 @@
-"""Shared graph builders and independent brute-force oracles.
+"""Shared graph builders, a CSV reader and independent brute-force oracles.
 
 The oracles work on raw edge arrays with python sets and explicit loops so
 they share no code path with the library implementations they check.
@@ -6,9 +6,23 @@ they share no code path with the library implementations they check.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from activescan import Graph
+
+
+# ---------------------------------------------------------------------------
+# readers
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header row and its other rows, as strings."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"empty CSV: {path}")
+    return rows[0], rows[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from activescan import paper_params, read_similarity_csv, read_trim_report
-from activescan.cli import main, read_csv_rows
+from activescan.cli import main
 from activescan.sbm import edge_count_sd, expected_edge_count
-from _testutil import er_graph
+from _testutil import er_graph, read_csv_rows
 
 TRI = "0 1\n1 2\n2 0\n"
 
@@ -38,6 +39,30 @@ def test_detect_smoke_three_cycle(tmp_path):
     assert len(mds_rows) == 3
     sim = read_similarity_csv(out / "similarity.csv")
     assert np.array_equal(sim.values, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("flags, clusters", [
+    (["--Q", "40", "--clusters", "3"], 3),  # the count is given, no model selection
+    (["--Q", "40", "--max-clusters", "1"], 1),  # one cluster allowed
+    (["--Q", "1"], 1),  # one vertex: one cluster, and MDS of one dimension
+])
+def test_detect_cluster_count_without_the_eigengap(flags, clusters, tmp_path):
+    from activescan import write_edge_list
+    path = tmp_path / "g.edges"
+    write_edge_list(er_graph(120, 0.08, 3)[0], path)
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(path), "--out", str(out), "--seed", "3",
+                 *flags]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["num_clusters"] == clusters
+    assert diag["cluster_floor_applied"] is False
+    assert len(diag["eigenvalues"]) == clusters
+    _, rows = read_csv_rows(out / "clusters.csv")
+    assert sorted({int(r[1]) for r in rows}) == list(range(clusters))
+    _, mds_rows = read_csv_rows(out / "mds.csv")
+    assert [r[0] for r in mds_rows] == [r[0] for r in rows]
+    if flags == ["--Q", "1"]:
+        assert mds_rows[0][1:] == ["0.0", "0.0"]  # the missing axis is padded with 0.0
 
 
 def test_detect_writes_stage_timings_beside_its_outputs(tmp_path, monkeypatch):

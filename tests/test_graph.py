@@ -153,8 +153,9 @@ def test_load_edge_list_parity_cases(tmp_path):
     g, ids = load_edge_list(path, with_mapping=True)
     assert ids.tolist() == [2, 10] and g.m == 2
     path.write_bytes(b"0 1\n1 \xff\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(EdgeListParseError) as exc:
         load_edge_list(path)
+    assert exc.value.line_no == 2
 
 
 # The parity inputs above as file bytes: each PARSE_CASES line between two

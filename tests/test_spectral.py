@@ -13,7 +13,7 @@ from activescan import (ari, auto_sigma, build_similarity_matrix, classical_mds,
                         normalized_affinity_spectrum, paper_params, psi_all,
                         rbf_affinity, spectral_cluster)
 from activescan.sbm import ARI_MAX_CLUSTERS, ARI_SIMILARITY_K
-from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric,
+from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric, _kmeans_once,
                                  _normalized_affinity, _top_eigh, eigengap_floor_applied)
 from activescan.trimming import _make_entries
 
@@ -191,9 +191,9 @@ def test_small_matrices_do_not_import_arpack():
 
 
 def test_spectral_cluster_recovers_ideal_blocks_on_lanczos_path(eigsh_calls):
-    assign, diag = spectral_cluster(ideal_affinity(LARGE_BLOCKS), 4, seed=7)
+    labels, diag = spectral_cluster(ideal_affinity(LARGE_BLOCKS), 4, seed=7)
     assert eigsh_calls == [4]
-    assert ari(assign.labels, block_labels(LARGE_BLOCKS)) == 1.0
+    assert ari(labels, block_labels(LARGE_BLOCKS)) == 1.0
     assert len(diag.eigenvalues) == 4
     assert np.abs(diag.eigenvalues - 1.0).max() < 1e-10
 
@@ -226,8 +226,8 @@ def test_eigh_residual_sanity():
 def test_spectral_cluster_recovers_two_ideal_blocks():
     sizes = [6, 4]
     w = ideal_affinity(sizes)
-    assign, diag = spectral_cluster(w, 2, seed=3)
-    assert ari(assign.labels, block_labels(sizes)) == 1.0
+    labels, diag = spectral_cluster(w, 2, seed=3)
+    assert ari(labels, block_labels(sizes)) == 1.0
     assert diag.eigenvalues.shape == (2,)  # the num_clusters leading ones
     assert diag.restarts_used == 10
 
@@ -239,14 +239,14 @@ def test_ideal_block_recovery_and_count(c):
     w = ideal_affinity(sizes)
     evals = normalized_affinity_spectrum(w)
     assert estimate_num_clusters(evals, min(8, sum(sizes))) == c
-    assign, _ = spectral_cluster(w, c, seed=11)
-    assert ari(assign.labels, block_labels(sizes)) == 1.0
+    labels, _ = spectral_cluster(w, c, seed=11)
+    assert ari(labels, block_labels(sizes)) == 1.0
 
 
 def test_spectral_cluster_k1_all_zero_labels():
     w = ideal_affinity([5])
-    assign, _ = spectral_cluster(w, 1, seed=0)
-    assert assign.labels.tolist() == [0] * 5
+    labels, _ = spectral_cluster(w, 1, seed=0)
+    assert labels.tolist() == [0] * 5
 
 
 def test_spectral_cluster_seed_determinism():
@@ -256,7 +256,7 @@ def test_spectral_cluster_seed_determinism():
     np.fill_diagonal(w, 1.0)
     a1, d1 = spectral_cluster(w, 3, seed=42)
     a2, d2 = spectral_cluster(w, 3, seed=42)
-    assert np.array_equal(a1.labels, a2.labels)
+    assert np.array_equal(a1, a2)
     assert d1.kmeans_inertia == d2.kmeans_inertia
 
 
@@ -271,11 +271,22 @@ def test_spectral_cluster_validation():
 
 
 def test_kmeans_empty_cluster_repair_on_identical_points():
-    # all-ones affinity embeds every point identically; both clusters must
-    # still end non-empty via the farthest-point re-seed
+    # an all-ones affinity has one non-zero eigenvalue, so the second axis
+    # of the embedding is some vector of its null space and the points are
+    # not identical (the repair itself is reached only by the test below);
+    # both clusters must still be non-empty
     w = np.ones((6, 6))
-    assign, _ = spectral_cluster(w, 2, seed=1)
-    assert len(np.unique(assign.labels)) == 2
+    labels, _ = spectral_cluster(w, 2, seed=1)
+    assert len(np.unique(labels)) == 2
+
+
+def test_kmeans_once_seeds_and_repairs_on_duplicate_points():
+    # identical points: every seed after the first is drawn uniformly (all
+    # distances are zero), every point joins cluster 0, and the empty
+    # cluster takes the farthest point by the repair
+    labels, inertia = _kmeans_once(np.zeros((6, 2)), 2, np.random.default_rng(0))
+    assert sorted(np.bincount(labels, minlength=2).tolist()) == [1, 5]
+    assert inertia == 0.0
 
 
 def test_every_cluster_nonempty_randomized():
@@ -285,8 +296,8 @@ def test_every_cluster_nonempty_randomized():
         w = np.clip((base + base.T) / 2, 0, 1)
         np.fill_diagonal(w, 1.0)
         for k in (2, 3, 5):
-            assign, _ = spectral_cluster(w, k, seed=trial)
-            assert len(np.unique(assign.labels)) == k
+            labels, _ = spectral_cluster(w, k, seed=trial)
+            assert len(np.unique(labels)) == k
 
 
 def test_model_selection_affinity_is_valid_affinity():
@@ -361,7 +372,7 @@ def test_affinity_stages_leave_their_input_unchanged_unless_told(stage, kind):
     # converted first and a read-only one is not written
     assert (owned.tobytes() != before) == (kind == "float64")
     if isinstance(want, tuple):
-        assert np.array_equal(got[0].labels, want[0].labels)
+        assert np.array_equal(got[0], want[0])
         want, got = want[1].eigenvalues, got[1].eigenvalues
     assert np.array_equal(got, want)
 
