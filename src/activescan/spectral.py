@@ -17,6 +17,14 @@ symmetry is first tested exactly, tile by tile with no transposed copy; the
 shortcuts that symmetry allows run only when that test passes, and
 otherwise each stage takes its general path (spectral_cluster falls back to
 np.allclose).
+
+numpy and scipy each bundle their own OpenBLAS, and each keeps its own
+thread pool. ARPACK's own BLAS calls run in scipy's pool, so at orders from
+_LANCZOS_MIN_ORDER, where the solves use ARPACK, every BLAS call of these
+stages (the solves' matvecs and model selection's Gram product) goes to
+scipy's BLAS too: two pools that take turns leave one's threads spinning
+while the other works. Smaller orders use numpy's @ and eigh, the pool the
+Jaccard build before them used. Either way one order runs in one pool.
 """
 
 from __future__ import annotations
@@ -61,14 +69,24 @@ def _top_eigh(a: np.ndarray, k: int,
     eigenvector is signed so that its largest-magnitude entry is positive,
     which makes the result independent of the solver. The second element
     is None unless vectors is set.
+
+    ARPACK's matvec a @ x is scipy's gemv on a as it lies in memory, so the
+    whole solve runs in scipy's OpenBLAS pool (module docstring). It is the
+    BLAS call numpy's @ makes for the same layout; tests check that the
+    two give the same bits.
     """
     q = a.shape[0]
     found = None
     if q >= _LANCZOS_MIN_ORDER and k < q - 1:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        from scipy.linalg.blas import get_blas_funcs
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        gemv = get_blas_funcs("gemv", (a,))
+        operand, trans = _blas_operand(a)
+        op = LinearOperator(a.shape, dtype=a.dtype,
+                            matvec=lambda x: gemv(1.0, operand, x, trans=trans))
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, q)
         try:
-            found = eigsh(a, k, which="LA", v0=v0, return_eigenvectors=vectors)
+            found = eigsh(op, k, which="LA", v0=v0, return_eigenvectors=vectors)
         except ArpackNoConvergence:
             pass
     if found is None:
@@ -81,6 +99,17 @@ def _top_eigh(a: np.ndarray, k: int,
         pivots = np.abs(evecs).argmax(axis=0)
         evecs *= np.where(evecs[pivots, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
     return evals, evecs
+
+
+def _blas_operand(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(b, trans) with op(b) = a for BLAS: a itself when Fortran-ordered, else a^T with trans=1.
+
+    Either way BLAS reads a's memory with no copy; a that is neither C- nor
+    Fortran-ordered is copied to C order once.
+    """
+    if a.flags.f_contiguous:
+        return a, 0
+    return np.ascontiguousarray(a).T, 1
 
 
 def _tile_pairs(q: int):
@@ -108,6 +137,27 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
         a[i, j] = block
         a[j, i] = block.T
     return a
+
+
+def _gram(p: np.ndarray) -> np.ndarray:
+    """P P^T by scipy's symmetric rank-k update, as a C-ordered full matrix.
+
+    This is the BLAS call numpy's P @ P.T makes: syrk fills the lower
+    triangle of its Fortran-ordered result, whose transpose is C-ordered
+    with the upper triangle filled, and that is mirrored down tile pair by
+    tile pair, with no transposed copy.
+    """
+    from scipy.linalg.blas import get_blas_funcs
+    operand, trans = _blas_operand(p)
+    g = get_blas_funcs("syrk", (p,))(1.0, operand, trans=trans, lower=1).T
+    for i, j in _tile_pairs(g.shape[0]):
+        if i == j:
+            block = g[i, j]
+            lower = np.tril_indices(block.shape[0], -1)
+            block[lower] = block.T[lower]
+        else:
+            g[j, i] = g[i, j].T
+    return g
 
 
 def auto_sigma(values: np.ndarray) -> float:
@@ -219,12 +269,16 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     The profiles are read in place: values' diagonal is zeroed while the
     squared norms and the Gram product P P^T are formed, then put back
     before anything else runs. The product of the profiles with their own
-    transpose takes BLAS's symmetric rank-k update, and every later step
-    runs in place on it, in row tiles, so at the peak the only Q x Q arrays
-    are values and the Gram product. A reader of values on another thread
-    would see the zeroed diagonal during the call. Inputs that cannot be
-    borrowed (read-only, not float64, neither C- nor F-contiguous) are
-    copied first.
+    transpose takes BLAS's symmetric rank-k update: scipy's syrk from
+    _LANCZOS_MIN_ORDER on, so that it runs in the pool of the spectrum
+    solve that follows it, and numpy's P @ P.T (the same update) below,
+    where the dense solve runs in numpy's pool. Both make the same BLAS
+    call, but from different OpenBLAS builds, which need not round alike.
+    Every later step runs in place on the product, in row tiles, so at the
+    peak the only Q x Q arrays are values and the Gram product. A reader of
+    values on another thread would see the zeroed diagonal during the call.
+    Inputs that cannot be borrowed (read-only, not float64, neither C- nor
+    F-contiguous) are copied first.
 
     Used only to choose the cluster count; the clustering itself embeds the
     RBF affinity of 1 - S.
@@ -237,7 +291,7 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     np.fill_diagonal(profiles, 0.0)
     try:
         sq = (profiles ** 2).sum(axis=1)
-        d2 = profiles @ profiles.T
+        d2 = _gram(profiles) if len(profiles) >= _LANCZOS_MIN_ORDER else profiles @ profiles.T
     finally:
         np.fill_diagonal(profiles, diagonal)
     del profiles

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyrk
 
 from activescan import (ari, auto_sigma, build_similarity_matrix, classical_mds,
                         estimate_num_clusters, generate_sbm, model_selection_affinity,
@@ -131,6 +133,45 @@ def eigsh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def seeded_restarts(monkeypatch):
+    """Seed the random vectors ARPACK restarts from, where scipy's eigsh takes a seed.
+
+    A matrix of rank below k makes ARPACK restart from random vectors, which
+    scipy draws from fresh entropy unless given a seed. True when seeded.
+    """
+    import scipy.sparse.linalg as sla
+    real = sla.eigsh
+    if "rng" not in inspect.signature(real).parameters:
+        return False
+    monkeypatch.setattr(sla, "eigsh", lambda *args, **kwargs: real(*args, **kwargs, rng=1))
+    return True
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 4, 10])
+@pytest.mark.parametrize("matrix", ["random", "blocks"])
+def test_top_eigh_scipy_matvec_matches_the_solve_on_the_array(matrix, k, vectors, monkeypatch,
+                                                             seeded_restarts, eigsh_calls):
+    # the solve's matvec is scipy's gemv; handing eigsh the array itself
+    # (numpy's a @ x) must give the same bits
+    a = _large_symmetric(1) if matrix == "random" else ideal_affinity(LARGE_BLOCKS)
+    if k > len(LARGE_BLOCKS) and matrix == "blocks" and not seeded_restarts:
+        pytest.skip("this scipy's eigsh takes no seed for its restart vectors")
+    got = _top_eigh(a, k, vectors)
+    assert eigsh_calls == [k]
+    import scipy.sparse.linalg as sla
+    counted = sla.eigsh
+    monkeypatch.setattr(sla, "eigsh", lambda op, *args, **kwargs: counted(a, *args, **kwargs))
+    want = _top_eigh(a, k, vectors)
+    assert eigsh_calls == [k, k]
+    assert np.array_equal(got[0], want[0])
+    if vectors:
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] is None
+
+
 @pytest.mark.parametrize("matrix", ["random", "blocks"])
 def test_top_eigh_lanczos_matches_dense(matrix, eigsh_calls):
     a = _large_symmetric(1) if matrix == "random" else ideal_affinity(LARGE_BLOCKS)
@@ -179,12 +220,15 @@ def test_small_matrices_do_not_import_arpack():
     # ARPACK's modules add ~9 MB to the resident set of small runs
     code = (
         "import sys, numpy as np\n"
-        "from activescan import classical_mds, normalized_affinity_spectrum, spectral_cluster\n"
+        "from activescan import (classical_mds, model_selection_affinity,\n"
+        "                        normalized_affinity_spectrum, spectral_cluster)\n"
         f"w = np.ones(({_LANCZOS_MIN_ORDER - 1},) * 2)\n"
+        "model_selection_affinity(w)\n"
         "normalized_affinity_spectrum(w, 3)\n"
         "spectral_cluster(w, 2, seed=0)\n"
         "classical_mds(w, dims=2)\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n")
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n")  # scipy's BLAS: small orders use numpy's
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
@@ -462,15 +506,25 @@ def reference_normalized_affinity(w):
     return (sym + sym.T) / 2.0
 
 
-def reference_model_selection(s, doubled_operand=False):
-    """The direct formula; doubled_operand takes the general product (2 P) P^T
-    that model selection used before its symmetric P P^T."""
+def reference_gram2(profiles, product):
+    """2 P P^T by `product`: "code" takes the symmetric rank-k update the code
+    takes at that order (scipy's from _LANCZOS_MIN_ORDER, numpy's below),
+    "numpy" numpy's P @ P.T at every order, and "doubled" the general
+    product (2 P) P^T that model selection used before either."""
+    if product == "doubled":
+        return (2.0 * profiles) @ profiles.T
+    if product == "numpy" or len(profiles) < _LANCZOS_MIN_ORDER:
+        return 2.0 * (profiles @ profiles.T)
+    c = dsyrk(1.0, profiles.T, trans=1, lower=1)  # only the lower triangle is filled
+    return 2.0 * np.where(np.tri(len(profiles), dtype=bool), c, c.T)
+
+
+def reference_model_selection(s, product="code"):
+    """The direct formula, with the Gram product of reference_gram2."""
     profiles = s.copy()
     np.fill_diagonal(profiles, 0.0)
     sq = (profiles ** 2).sum(axis=1)
-    gram2 = ((2.0 * profiles) @ profiles.T if doubled_operand
-             else 2.0 * (profiles @ profiles.T))
-    d2 = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - reference_gram2(profiles, product), 0.0)
     sigma = np.sqrt(np.partition(d2, 3, axis=1)[:, 3])
     sigma[sigma == 0] = 1.0
     w = np.exp(-d2 / np.outer(sigma, sigma))
@@ -584,17 +638,20 @@ def _decisions(w, max_c):
 def test_model_selection_decisions_match_the_doubled_operand_product(source):
     # the symmetric rank-k product rounds some Gram entries differently from
     # (2 P) P^T (similarity_like at orders 70, 100, 257 and 513 among them),
-    # but the cluster count and the floor flag, its only outputs, must agree
+    # and scipy's, taken from _LANCZOS_MIN_ORDER, may round differently from
+    # numpy's; but the cluster count and the floor flag, model selection's
+    # only outputs, must agree with both
     if source == "similarity_like":
         matrices = [similarity_like(order, seed)
-                    for order in (70, 100, 257, 513) for seed in (8, order)]
+                    for order in (70, 100, 257, 513, 613, 777, 1000, 1500) for seed in (8, order)]
     else:
         # leading blocks of the top-200 matrix: Jaccard is per pair, so each
         # is the matrix of the top q vertices
         matrices = [s[:q, :q] for s in (paper_sbm_jaccard(seed, 200) for seed in range(20))
                     for q in (61, 70, 100, 150, 200)]
     for s in matrices:
-        old = reference_model_selection(s, doubled_operand=True)
-        for max_c in (ARI_MAX_CLUSTERS, 10):  # the ARI harness's cap and detect's default
-            assert _decisions(model_selection_affinity(s), max_c) == _decisions(old, max_c), \
-                (len(s), max_c)
+        got = model_selection_affinity(s)
+        for product in ("doubled", "numpy") if len(s) >= _LANCZOS_MIN_ORDER else ("doubled",):
+            want = reference_model_selection(s, product)
+            for max_c in (ARI_MAX_CLUSTERS, 10):  # the ARI harness's cap and detect's default
+                assert _decisions(got, max_c) == _decisions(want, max_c), (len(s), product, max_c)
