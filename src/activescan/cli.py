@@ -6,9 +6,10 @@ precedence is flags > --config file > defaults, and each config-file value
 is type-checked against its option's entry. All randomness flows from
 --seed; per-stage seeds are derived by labeled hashing.
 ACTIVE_SCAN_THREADS (a positive integer) supplies the default of
---workers, which sizes eval's Monte-Carlo process pool; topq, detect and
-bench-trim accept it but always search in one thread, with identical
-results for any value.
+--workers, which sizes the thread pool eval maps its Monte-Carlo runs in;
+outputs are identical for every count, and BLAS thread counts are not
+touched. topq, detect and bench-trim accept it but always search in one
+thread, with identical results for any value.
 
 The trim counters of topq, bench-trim and detect's diagnostics.json are,
 with t the final Q-th value: computed_count, the vertices whose exact

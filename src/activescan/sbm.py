@@ -9,7 +9,7 @@ Adjusted Rand Index (clustering of the selected vertices).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -266,13 +266,19 @@ def _curve_envelope(curve: EvalCurve) -> tuple[np.ndarray, np.ndarray]:
     return curve.fpr[idx], curve.tpr[idx]
 
 
-def _map_runs(fn, args: list[tuple], workers: int) -> list:
-    """fn(*a) for every argument tuple a, in order; in a process pool of
-    `workers` processes when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*args)))
-    return [fn(*a) for a in args]
+def _map_runs(run, runs: int, seed: int, workers: int) -> list:
+    """[run(s) for s in the run seeds], in run order, in a pool of `workers` threads.
+
+    Run r's seed is derive_seed(seed, f"run:{r}"). Runs share no mutable
+    state, so the rows are the same for every worker count.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(run, [derive_seed(seed, f"run:{r}") for r in range(runs)]))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _roc_one_run(params: SBMParams, k: int, run_seed: int) -> tuple[np.ndarray, float]:
@@ -289,12 +295,11 @@ def monte_carlo_roc(params: SBMParams, runs: int, k: int, seed: int,
 
     Per run: sample a graph, score every vertex (full sweep), mark blocks
     2..B positive, and trace the ROC. Curves are averaged vertically on a
-    fixed 101-point FPR grid; reproducible bit-for-bit for fixed inputs.
+    fixed 101-point FPR grid. The runs are mapped in a pool of `workers`
+    threads (_map_runs), and the result is the same bit for bit for fixed
+    inputs and any worker count.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    run_seeds = [derive_seed(seed, f"run:{r}") for r in range(runs)]
-    rows = _map_runs(_roc_one_run, [(params, k, rs) for rs in run_seeds], workers)
+    rows = _map_runs(lambda rs: _roc_one_run(params, k, rs), runs, seed, workers)
     tprs = np.stack([r[0] for r in rows])
     aucs = np.array([r[1] for r in rows])
     return RocResult(grid_fpr=ROC_GRID.copy(), mean_tpr=tprs.mean(axis=0),
@@ -332,10 +337,10 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
     the top max(q_values) once. Per Q: cluster the leading Q x Q block, the
     Jaccard matrix of the top Q, with the RBF + spectral pipeline (cluster
     count from the eigengap, at most ARI_MAX_CLUSTERS), and score the
-    labels against the true block labels of the selected vertices.
+    labels against the true block labels of the selected vertices. As in
+    monte_carlo_roc, the runs are mapped in a pool of `workers` threads, and
+    the values do not depend on the worker count.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     q_values = tuple(int(q) for q in q_values)
     if not q_values:
         raise ValueError("q_values must be non-empty")
@@ -343,7 +348,5 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
     for q in q_values:
         if not 2 <= q <= n:
             raise ValueError(f"q values must lie in [2, {n}], got {q}")
-    run_seeds = [derive_seed(seed, f"run:{r}") for r in range(runs)]
-    args = [(params, k, q_values, rs) for rs in run_seeds]
-    rows = _map_runs(_ari_one_run, args, workers)
+    rows = _map_runs(lambda rs: _ari_one_run(params, k, q_values, rs), runs, seed, workers)
     return AriResult(q_values=q_values, values=np.stack(rows))

@@ -29,6 +29,7 @@ Jaccard build before them used. Either way one order runs in one pool.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,12 @@ def _top_eigh(a: np.ndarray, k: int,
     """The k largest eigenvalues of symmetric a, descending, and their eigenvectors.
 
     Matrices of order >= _LANCZOS_MIN_ORDER use ARPACK's Lanczos iteration
-    from a fixed start vector, so repeated calls agree bitwise; smaller
-    ones, and any solve that does not converge, use the dense solver. Each
-    eigenvector is signed so that its largest-magnitude entry is positive,
-    which makes the result independent of the solver. The second element
-    is None unless vectors is set.
+    from a fixed start vector and, where scipy's eigsh takes a seed, seeded
+    restarts, so repeated calls agree bitwise even when k exceeds a's rank;
+    smaller ones, and any solve that does not converge, use the dense
+    solver. Each eigenvector is signed so that its largest-magnitude entry
+    is positive, which makes the result independent of the solver. The
+    second element is None unless vectors is set.
 
     ARPACK's matvec a @ x is scipy's gemv on a as it lies in memory, so the
     whole solve runs in scipy's OpenBLAS pool (module docstring). It is the
@@ -85,8 +87,11 @@ def _top_eigh(a: np.ndarray, k: int,
         op = LinearOperator(a.shape, dtype=a.dtype,
                             matvec=lambda x: gemv(1.0, operand, x, trans=trans))
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, q)
+        # a rank below k makes ARPACK restart from random vectors, which
+        # scipy's eigsh draws from fresh entropy unless it takes a seed
+        seed = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
         try:
-            found = eigsh(op, k, which="LA", v0=v0, return_eigenvectors=vectors)
+            found = eigsh(op, k, which="LA", v0=v0, return_eigenvectors=vectors, **seed)
         except ArpackNoConvergence:
             pass
     if found is None:

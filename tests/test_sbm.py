@@ -1,10 +1,18 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import activescan.sbm as sbm
 from activescan import (SBMParams, ari, expected_edge_count, generate_sbm,
                         monte_carlo_ari, monte_carlo_roc, paper_params,
                         params_from_json, params_to_json, roc_auc)
+from activescan.cli import OPTIONS, _parse_q_values
 from activescan.sbm import edge_count_sd
+from activescan.seeds import derive_seed
+from activescan.spectral import _LANCZOS_MIN_ORDER
 from _testutil import ari_oracle, auc_oracle
 
 
@@ -192,17 +200,63 @@ def test_monte_carlo_ari_reproducible():
     assert r1.sd.shape == (2,)
 
 
+def assert_same_result(a, b):
+    assert vars(a).keys() == vars(b).keys()
+    for key, value in vars(a).items():
+        assert np.array_equal(value, vars(b)[key]), key
+
+
 def test_monte_carlo_workers_do_not_change_results():
-    params = noisy_params()
-    serial = monte_carlo_roc(params, runs=2, k=1, seed=4)
-    pooled = monte_carlo_roc(params, runs=2, k=1, seed=4, workers=2)
-    assert np.array_equal(serial.mean_tpr, pooled.mean_tpr)
-    assert serial.mean_auc == pooled.mean_auc
-    a_serial = monte_carlo_ari(separated_params(), runs=2, k=1,
-                               q_values=[15], seed=4)
-    a_pooled = monte_carlo_ari(separated_params(), runs=2, k=1,
-                               q_values=[15], seed=4, workers=2)
-    assert np.array_equal(a_serial.values, a_pooled.values)
+    # the runs map in a pool of `workers` threads; a short switch interval
+    # makes the threads hand the interpreter over often
+    params = paper_params()
+    q_values = _parse_q_values(OPTIONS["eval"]["q_values"][0])  # eval's default
+    cases = [lambda w: monte_carlo_roc(params, runs=4, k=1, seed=4, workers=w),
+             lambda w: monte_carlo_roc(params, runs=4, k=2, seed=4, workers=w),
+             lambda w: monte_carlo_ari(params, runs=4, k=1, q_values=q_values, seed=4,
+                                       workers=w)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for case in cases:
+            one = case(1)
+            for workers in (2, 8):
+                assert_same_result(one, case(workers))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_monte_carlo_ari_workers_agree_at_lanczos_orders():
+    # Q >= _LANCZOS_MIN_ORDER: concurrent runs make concurrent ARPACK solves
+    # and scipy-BLAS Gram products; blocks this weak keep the ARI off 1
+    p = np.full((4, 4), 0.02) + np.diag([0.02, 0.03, 0.04, 0.05])
+    params = SBMParams((200, 170, 130, 100), p)
+    q_values = (_LANCZOS_MIN_ORDER, params.n)
+    one = monte_carlo_ari(params, runs=2, k=1, q_values=q_values, seed=5)
+    two = monte_carlo_ari(params, runs=2, k=1, q_values=q_values, seed=5, workers=2)
+    assert_same_result(one, two)
+
+
+def test_a_failing_run_propagates_and_leaves_no_pool_thread(monkeypatch):
+    runs, started = 50, []
+    first = derive_seed(0, "run:0")
+    real = sbm.generate_sbm
+
+    def generate(params):
+        started.append(params.seed)
+        if params.seed == first:
+            raise RuntimeError("run 0 failed")
+        time.sleep(0.05)
+        return real(params)
+
+    monkeypatch.setattr(sbm, "generate_sbm", generate)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="run 0 failed"):
+        monte_carlo_roc(noisy_params(), runs=runs, k=1, seed=0, workers=2)
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(started) < runs  # the queued runs were cancelled, not run
 
 
 def test_monte_carlo_validation():
