@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import stat
@@ -32,8 +33,6 @@ BLOCK_CELLS = 1 << 22
 FILL_SAMPLE_ROWS = 32
 # np.loadtxt opens a file name with these suffixes through a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# bytes per read of the scan for a bare '\r'
-_SCAN_CHUNK = 1 << 20
 
 
 class EdgeListParseError(ValueError):
@@ -322,19 +321,6 @@ def _split_lines(data: bytes) -> list:
         return data.split(b"\n")
 
 
-def _has_bare_cr(fh) -> bool:
-    """Whether a binary file holds a '\r' not followed by '\n', read from the
-    current position in chunks of _SCAN_CHUNK bytes."""
-    carry = b""  # a '\r' that ended the last chunk
-    while chunk := fh.read(_SCAN_CHUNK):
-        chunk = carry + chunk
-        carry = chunk[-1:] if chunk.endswith(b"\r") else b""
-        body = chunk[:len(chunk) - len(carry)]
-        if b"\r" in body and body.count(b"\r") != body.count(b"\r\n"):
-            return True
-    return bool(carry)
-
-
 def _head_length(lines) -> int:
     """How many leading lines the line loop skips: blank, or '#' once stripped."""
     count = 0
@@ -349,23 +335,18 @@ def _head_length(lines) -> int:
     return count
 
 
-def _fast_pairs(source) -> np.ndarray | None:
+def _fast_pairs(source, skip: int) -> np.ndarray | None:
     """All pairs by one C-level parse of a file name or a list of lines, or
     None where the line loop must decide.
 
-    Accepts only what the loop accepts with the same values: the parse
-    skips the leading blank and comment lines (a header), reads optionally
-    signed decimal integers split by whitespace, and any other token
-    (comment marks after the header, floats, hex, digit separators), a
-    column count other than 2, a negative id or an empty input sends the
-    lines back to the loop, which reports the located error or skips
-    comments.
+    The parse skips the first skip lines, the header that _head_length
+    counts on the same lines. Accepts only what the loop accepts with the
+    same values: it reads optionally signed decimal integers split by
+    whitespace, and any other token (comment marks after the header,
+    floats, hex, digit separators), a column count other than 2, a negative
+    id or an empty input sends the lines back to the loop, which reports
+    the located error or skips comments.
     """
-    if isinstance(source, list):  # np.loadtxt takes each item as one line
-        skip = _head_length(source)
-    else:  # a name, whose lines end at '\n' as the loop's do (no bare '\r')
-        with open(source, "rb") as fh:
-            skip = _head_length(fh)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; the loop rejects it
@@ -412,31 +393,29 @@ def _loop_pairs(lines: list) -> np.ndarray:
 def _parse_pairs(source) -> np.ndarray:
     """All pairs of an edge-list path or iterable of lines; lines end at '\n' only.
 
-    np.loadtxt reads a file given by name in C-level chunks, but opens it
-    through numpy's data sources with universal newlines. A path goes there
-    only when that reads the lines the loop reads: a regular file whose
-    name picks no decompressor (_COMPRESSED_SUFFIXES) and is no URL, and
-    which holds no bare '\r' ('\r\n' becomes '\n', and the loop strips the
-    '\r'). Any other path (a pipe, a device, an odd name, a bare '\r') is
-    read once, and both parses run on its lines in memory.
+    A path is opened once and its bytes read; every later step works on
+    those bytes. np.loadtxt reads a file given by name in C-level chunks,
+    but opens it through numpy's data sources with universal newlines. A
+    path goes there only when that reads the lines the loop reads: a
+    regular file whose name picks no decompressor (_COMPRESSED_SUFFIXES)
+    and is no URL, and whose bytes hold no bare '\r' ('\r\n' becomes '\n',
+    and the loop strips the '\r'). If that parse declines, the loop runs on
+    the bytes already read. Any other path (a pipe, a device, an odd name,
+    a bare '\r') has both parses run on its lines in memory.
     """
     if isinstance(source, (str, Path)):
         name = os.fspath(source)
         with open(name, "rb") as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            by_name = (regular and not name.endswith(_COMPRESSED_SUFFIXES)
-                       and "://" not in name and not _has_bare_cr(fh))
-            if not by_name:
-                if regular:
-                    fh.seek(0)  # back from the scan
-                lines = _split_lines(fh.read())
-        if by_name:  # the loop reads a regular file again
-            pairs = _fast_pairs(name)
-            return pairs if pairs is not None else _loop_pairs(
-                _split_lines(Path(name).read_bytes()))
+            data = fh.read()
+        if (regular and not name.endswith(_COMPRESSED_SUFFIXES) and "://" not in name
+                and not (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))):
+            pairs = _fast_pairs(name, _head_length(io.BytesIO(data)))
+            return pairs if pairs is not None else _loop_pairs(_split_lines(data))
+        lines = _split_lines(data)
     else:
         lines = list(source)
-    pairs = _fast_pairs(lines)
+    pairs = _fast_pairs(lines, _head_length(lines))
     return pairs if pairs is not None else _loop_pairs(lines)
 
 

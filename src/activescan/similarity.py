@@ -97,5 +97,11 @@ def read_similarity_csv(path) -> SimilarityMatrix:
     if not rows:
         raise ValueError(f"empty similarity file: {path}")
     vertices = np.array([int(v) for v in rows[0]], dtype=np.int64)
+    for line_no, row in enumerate(rows[1:], 2):
+        if len(row) != vertices.size:
+            raise ValueError(f"{path}: line {line_no} has {len(row)} values "
+                             f"under {vertices.size} ids")
+    if len(rows) - 1 != vertices.size:
+        raise ValueError(f"{path}: {len(rows) - 1} rows under {vertices.size} ids")
     values = np.array([[float(x) for x in row] for row in rows[1:]])
     return SimilarityMatrix(vertices=vertices, values=values)

@@ -193,7 +193,7 @@ def rbf_affinity(values: np.ndarray, sigma: float | None = None) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if sigma is None:
         sigma = auto_sigma(values)
-    elif sigma <= 0:
+    elif not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
     w = 1.0 - values
     w **= 2

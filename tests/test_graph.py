@@ -14,7 +14,7 @@ from activescan import (EdgeListParseError, Graph, degree_stat,
                         induced_edge_count, load_edge_list, neighborhood,
                         psi_all, read_binary, write_binary, write_edge_list)
 from activescan import graph
-from activescan.graph import (_dense_ids, _fast_pairs, _has_bare_cr, _loop_pairs,
+from activescan.graph import (_dense_ids, _fast_pairs, _head_length, _loop_pairs,
                               _parse_pairs, closed_neighborhood_rows, count_width,
                               neighborhood_blocks)
 from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
@@ -102,7 +102,7 @@ HEADER = ["# Directed graph: case.edges", "", "  # FromNodeId\tToNodeId \t"]
 def test_fast_parse_agrees_with_line_loop(case, tmp_path):
     for lines in ([case], ["5 6", case, "7 8"], ["# head", case],
                   [*HEADER, case, "7 8"], [x.encode() + b"\n" for x in ("5 6", case)]):
-        fast = _fast_pairs(lines)
+        fast = _fast_pairs(lines, _head_length(lines))
         if fast is None:
             continue
         assert fast.dtype == np.int64
@@ -126,8 +126,9 @@ def test_a_leading_header_keeps_the_c_level_parse(tmp_path, monkeypatch):
     path = tmp_path / "snap.edges"
     path.write_text("\n".join([*HEADER, "5 6", "", "7 8", ""]))
     lines = [*HEADER, "5 6", "7 8"]
-    assert _fast_pairs(lines).tolist() == [[5, 6], [7, 8]]
-    assert _fast_pairs([*HEADER, "5 6", "# mid", "7 8"]) is None
+    assert _fast_pairs(lines, _head_length(lines)).tolist() == [[5, 6], [7, 8]]
+    mid = [*HEADER, "5 6", "# mid", "7 8"]
+    assert _fast_pairs(mid, _head_length(mid)) is None
     monkeypatch.setattr(graph, "_loop_pairs", None)  # the loop must not run
     assert load_edge_list(path, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
     assert load_edge_list(lines, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
@@ -136,7 +137,7 @@ def test_a_leading_header_keeps_the_c_level_parse(tmp_path, monkeypatch):
 def test_fast_parse_reads_plain_edge_lists():
     for lines in (["1 2", "3 4", ""], ["1\t2\r\n", "  3 4  \n", "\n", " \t \n"],
                   [b"10 20\n", b"20 10\n"]):
-        assert _fast_pairs(lines).tolist() == _loop_pairs(lines).tolist()
+        assert _fast_pairs(lines, _head_length(lines)).tolist() == _loop_pairs(lines).tolist()
 
 
 def test_load_edge_list_parity_cases(tmp_path):
@@ -222,15 +223,35 @@ def test_regular_plain_files_are_parsed_by_name(tmp_path, monkeypatch):
     names.clear()
     assert _parse_pairs(["0 1", "1 2"]).tolist() == [[0, 1], [1, 2]]
     assert names == [False]
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
-def test_bare_cr_scan_across_chunks(chunk, monkeypatch):
-    monkeypatch.setattr("activescan.graph._SCAN_CHUNK", chunk)
+    # under a plain name, exactly the files without a bare '\r' go by name
+    path = tmp_path / "cr.edges"
     for data in (b"", b"\r", b"\n", b"\r\n", b"ab\r\ncd", b"ab\r\r\n", b"a\rb",
                  b"1 2\r\n3 4\r", b"\r\n" * 7, b"\r\n\r\n\r\r\n", b"12\r\n\r"):
-        want = re.search(b"\r(?!\n)", data) is not None
-        assert _has_bare_cr(io.BytesIO(data)) is want, data
+        path.write_bytes(data)
+        names.clear()
+        _outcome(lambda: _parse_pairs(path))
+        assert names == [re.search(b"\r(?!\n)", data) is None], data
+
+
+def test_random_files_parse_as_the_line_loop(tmp_path):
+    # short edge lists with up to three bytes swapped for digits, whitespace,
+    # line ends, comment marks, signs, separators or an invalid UTF-8 byte:
+    # each path gives the loop's values or the loop's located error
+    rng = np.random.default_rng(25)
+    alphabet = np.frombuffer(b"0123456789 \t\r\n#-+_.x\xff", dtype=np.uint8)
+    path = tmp_path / "random.edges"
+    for _ in range(300):
+        data = bytearray(b"".join(b"%d %d\n" % tuple(rng.integers(0, 20, 2))
+                                  for _ in range(rng.integers(0, 5))))
+        for i in rng.integers(0, len(data) + 1, rng.integers(0, 4)):
+            data[i:i + 1] = rng.choice(alphabet, 1).tobytes()
+        data = bytes(data)
+        path.write_bytes(data)
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = data.split(b"\n")
+        assert _outcome(lambda: _parse_pairs(path)) == _outcome(lambda: _loop_pairs(lines)), data
 
 
 def _load_fifo(fifo, data: bytes):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,3 +200,16 @@ def test_similarity_csv_roundtrip(tmp_path):
     back = read_similarity_csv(path)
     assert back.vertices.tolist() == s.vertices.tolist()
     assert np.array_equal(back.values, s.values)
+
+
+def test_similarity_csv_rejects_a_body_that_is_not_header_by_header(tmp_path):
+    path = tmp_path / "sim.csv"
+    path.write_text("3,7,11\n1.0,0.5\n0.5,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2 has 2 values under 3 ids")):
+        read_similarity_csv(path)
+    path.write_text("3,7\n1.0,0.5\n0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3 has 1 values under 2 ids")):
+        read_similarity_csv(path)
+    path.write_text("3,7\n1.0,0.5\n0.5,1.0\n0.5,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 3 rows under 2 ids")):
+        read_similarity_csv(path)

@@ -63,6 +63,8 @@ def test_rbf_rejects_nonpositive_sigma():
         rbf_affinity(np.eye(3), sigma=0.0)
     with pytest.raises(ValueError):
         rbf_affinity(np.eye(3), sigma=-1.0)
+    with pytest.raises(ValueError):
+        rbf_affinity(np.eye(3), sigma=float("nan"))
 
 
 def test_auto_sigma_median_and_degenerate_fallback():
