@@ -169,6 +169,10 @@ PATH_CORPUS = [f"5 6\n{case}\n7 8\n".encode() for case in PARSE_CASES] + [
     b"1 2\r", b"1 2\r\n3 4\r\n", b"1 2\r\r\n3 4\n"]
 
 
+CR_CASES = [b"", b"\r", b"\n", b"\r\n", b"ab\r\ncd", b"ab\r\r\n", b"a\rb",
+            b"1 2\r\n3 4\r", b"\r\n" * 7, b"\r\n\r\n\r\r\n", b"12\r\n\r"]
+
+
 def _outcome(parse):
     """Pairs as lists, or the error's type, message and line number."""
     try:
@@ -225,8 +229,7 @@ def test_regular_plain_files_are_parsed_by_name(tmp_path, monkeypatch):
     assert names == [False]
     # under a plain name, exactly the files without a bare '\r' go by name
     path = tmp_path / "cr.edges"
-    for data in (b"", b"\r", b"\n", b"\r\n", b"ab\r\ncd", b"ab\r\r\n", b"a\rb",
-                 b"1 2\r\n3 4\r", b"\r\n" * 7, b"\r\n\r\n\r\r\n", b"12\r\n\r"):
+    for data in CR_CASES:
         path.write_bytes(data)
         names.clear()
         _outcome(lambda: _parse_pairs(path))
@@ -277,6 +280,27 @@ def _load_fifo(fifo, data: bytes):
         threads[1].join(timeout=30)
         pytest.fail("the FIFO was opened twice")
     return out[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
+def test_bare_cr_scan_across_chunks(chunk, tmp_path):
+    # a pipe written in chunk-byte pieces, a '\r' and its '\n' often in
+    # different writes, parses as the loop parses the whole bytes
+    fifo = tmp_path / "cr.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as fh:
+            for i in range(0, len(data), chunk):
+                fh.write(data[i:i + chunk])
+    for data in CR_CASES:
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        got = _outcome(lambda: _parse_pairs(fifo))
+        writer.join(timeout=30)
+        assert not writer.is_alive(), data
+        assert got == _outcome(lambda: _loop_pairs(data.decode().split("\n"))), data
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
