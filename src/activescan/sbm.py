@@ -22,7 +22,7 @@ from .similarity import build_similarity_matrix
 from .spectral import (estimate_num_clusters, model_selection_affinity,
                        normalized_affinity_spectrum, rbf_affinity,
                        spectral_cluster)
-from .trimming import _make_entries
+from .trimming import topQ_lstat
 
 ROC_GRID = np.linspace(0.0, 1.0, 101)
 ARI_SIMILARITY_K = 1  # the ARI protocol's Jaccard order
@@ -309,9 +309,9 @@ def monte_carlo_roc(params: SBMParams, runs: int, k: int, seed: int,
 def _ari_one_run(params: SBMParams, k: int, q_values: tuple[int, ...],
                  run_seed: int) -> np.ndarray:
     lg = generate_sbm(replace(params, seed=run_seed))
-    scores = psi_all(lg.graph, k)
-    entries = _make_entries(np.arange(lg.graph.n), scores, max(q_values))
-    ranked = np.array([v for v, _ in entries], dtype=np.int64)
+    top = max(q_values)
+    ranked = np.array([v for v, _ in topQ_lstat(lg.graph, top, k).entries[:top]],
+                      dtype=np.int64)
     # a pair's Jaccard value does not depend on the other selected vertices,
     # so each Q reads the leading Q x Q block of the largest Q's matrix
     values = build_similarity_matrix(lg.graph, ranked, ARI_SIMILARITY_K).values
@@ -332,14 +332,15 @@ def monte_carlo_ari(params: SBMParams, runs: int, k: int, q_values,
                     seed: int, *, workers: int = 1) -> AriResult:
     """Clustering accuracy of the pipeline on the top-Q vertices, per Q.
 
-    Per run: rank the vertices by the order-k statistic (full sweep, ties
-    by ascending id) and build the order-ARI_SIMILARITY_K Jaccard matrix of
-    the top max(q_values) once. Per Q: cluster the leading Q x Q block, the
-    Jaccard matrix of the top Q, with the RBF + spectral pipeline (cluster
-    count from the eigengap, at most ARI_MAX_CLUSTERS), and score the
-    labels against the true block labels of the selected vertices. As in
-    monte_carlo_roc, the runs are mapped in a pool of `workers` threads, and
-    the values do not depend on the worker count.
+    Per run: select the top max(q_values) vertices by the order-k
+    statistic as detect does, through topQ_lstat (ties by ascending id,
+    boundary ties past max(q_values) left out), and build their
+    order-ARI_SIMILARITY_K Jaccard matrix once. Per Q: cluster the leading
+    Q x Q block, the Jaccard matrix of the top Q, with the RBF + spectral
+    pipeline (cluster count from the eigengap, at most ARI_MAX_CLUSTERS),
+    and score the labels against the true block labels of the selected
+    vertices. As in monte_carlo_roc, the runs are mapped in a pool of
+    `workers` threads, and the values do not depend on the worker count.
     """
     q_values = tuple(int(q) for q in q_values)
     if not q_values:

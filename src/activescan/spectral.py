@@ -165,6 +165,14 @@ def _gram(p: np.ndarray) -> np.ndarray:
     return g
 
 
+def _square(a) -> np.ndarray:
+    """a as a float array; ValueError unless it is a 2-D square matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
 def auto_sigma(values: np.ndarray) -> float:
     """Median heuristic: median off-diagonal distance 1 - S, 1.0 if degenerate.
 
@@ -172,7 +180,7 @@ def auto_sigma(values: np.ndarray) -> float:
     median of the strict upper triangle is the same number, bitwise, at
     half the memory.
     """
-    values = np.asarray(values, dtype=float)
+    values = _square(values)
     q = values.shape[0]
     if q < 2:
         return 1.0
@@ -190,7 +198,7 @@ def rbf_affinity(values: np.ndarray, sigma: float | None = None) -> np.ndarray:
 
     sigma=None selects the median heuristic over off-diagonal distances.
     """
-    values = np.asarray(values, dtype=float)
+    values = _square(values)
     if sigma is None:
         sigma = auto_sigma(values)
     elif not sigma > 0:  # NaN too
@@ -224,7 +232,7 @@ def normalized_affinity_spectrum(w: np.ndarray, count: int | None = None,
     scipy's overwrite_a, so a caller that owns w saves a Q x Q array; w's
     contents are then undefined. The eigenvalues are the same bits either way.
     """
-    sym = _normalized_affinity(np.asarray(w, dtype=float), overwrite_w)
+    sym = _normalized_affinity(_square(w), overwrite_w)
     q = sym.shape[0]
     if count is None:
         count = q
@@ -288,7 +296,7 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     Used only to choose the cluster count; the clustering itself embeds the
     RBF affinity of 1 - S.
     """
-    profiles = np.asarray(values, dtype=float)
+    profiles = _square(values)
     flags = profiles.flags
     if not (flags.writeable and (flags.c_contiguous or flags.f_contiguous)):
         profiles = np.array(profiles)
@@ -378,10 +386,8 @@ def spectral_cluster(w: np.ndarray, num_clusters: int, seed: int,
     yields identical labels. overwrite_w is as in
     normalized_affinity_spectrum.
     """
-    w = np.asarray(w, dtype=float)
+    w = _square(w)
     q = w.shape[0]
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("affinity matrix must be square")
     if not (_is_symmetric(w) or np.allclose(w, w.T, atol=1e-10)):
         raise ValueError("affinity matrix must be symmetric")
     if not 1 <= num_clusters <= q:
@@ -410,7 +416,7 @@ def classical_mds(values: np.ndarray, dims: int = 2) -> MdsResult:
     clamped to zero and flagged. Each axis is signed so that the point
     farthest along it has a positive coordinate.
     """
-    values = np.asarray(values, dtype=float)
+    values = _square(values)
     q = values.shape[0]
     if not 1 <= dims <= q:
         raise ValueError(f"dims must be in [1, {q}]")

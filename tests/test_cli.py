@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from activescan import paper_params, read_similarity_csv, read_trim_report
+from activescan import paper_params, read_similarity_csv, read_trim_report, write_edge_list
 from activescan.cli import main
 from activescan.sbm import edge_count_sd, expected_edge_count
-from _testutil import er_graph, read_csv_rows
+from _testutil import er_graph, pa_graph, read_csv_rows
 
 TRI = "0 1\n1 2\n2 0\n"
 
@@ -211,6 +211,39 @@ def test_topq_reads_a_piped_edge_list_once(tmp_path):
     assert (q, res.entries) == (1, [(1, 2)])
 
 
+BLAS_FLOAT_TOL = 1e-12  # absolute; the two thread counts differed by ~1.3e-15 on this graph
+
+
+def test_detect_below_lanczos_orders_agrees_across_blas_thread_counts(tmp_path):
+    # below Q = 500 the dense solves round differently for each BLAS thread
+    # count (README); the selection, labels and decisions must not change,
+    # and the floats must agree to BLAS_FLOAT_TOL. The count is set only
+    # for the two child processes.
+    path = tmp_path / "pa.edges"
+    write_edge_list(pa_graph(1000, 3, 1)[0], path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in enumerate(outs, 1):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
+        run = subprocess.run(
+            [sys.executable, "-m", "activescan.cli", "detect", "--input", str(path),
+             "--Q", "300", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+    one, two = outs
+    for name in ("topq.csv", "clusters.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    diags = [json.loads((out / "diagnostics.json").read_text()) for out in outs]
+    for key in ("num_clusters", "cluster_floor_applied"):
+        assert diags[0][key] == diags[1][key], key
+    assert np.allclose(diags[0]["eigenvalues"], diags[1]["eigenvalues"],
+                       rtol=0, atol=BLAS_FLOAT_TOL)
+    header, coords = zip(*(read_csv_rows(out / "mds.csv") for out in outs))
+    assert header[0] == header[1]
+    assert np.allclose(np.array(coords[0], dtype=float), np.array(coords[1], dtype=float),
+                       rtol=0, atol=BLAS_FLOAT_TOL)
+
+
 def test_sbm_paper_flag_writes_expected_files(tmp_path, capsys):
     prefix = tmp_path / "bench"
     rc = main(["sbm", "--paper", "--seed", "4", "--out", str(prefix)])
@@ -296,6 +329,22 @@ def test_eval_runs_zero_rejected(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
                                                        "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--Q", "2"], "--input is required"),
+    (["topq", "--Q", "2"], "--input is required"),
+    (["bench-trim", "--q-values", "2"], "--input is required"),
+    (["sbm"], "either --paper or --params is required"),
+    (["eval", "--mode", "roc"], "either --paper or --params is required"),
+    (["eval", "--paper"], "--mode must be roc or ari"),
+], ids=["detect-input", "topq-input", "bench-trim-input", "sbm-params", "eval-params",
+        "eval-mode"])
+def test_a_missing_required_option_fails_before_output(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": message}
+    assert not any(tmp_path.iterdir())
 
 
 def test_q_values_are_parsed_before_output(tmp_path, capsys):

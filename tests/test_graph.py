@@ -529,6 +529,10 @@ def test_reload_idempotent(tmp_path):
     path2 = tmp_path / "g2.edges"
     write_edge_list(load_edge_list(path), path2)
     assert path.read_text() == path2.read_text()
+    # a text stream takes the same lines
+    stream = io.StringIO()
+    write_edge_list(g, stream)
+    assert stream.getvalue() == path.read_text()
 
 
 def test_binary_roundtrip_and_layout(tmp_path):
@@ -543,18 +547,22 @@ def test_binary_roundtrip_and_layout(tmp_path):
     assert read_binary(path) == g
 
 
-@pytest.mark.parametrize("offsets,targets,match", [
-    ([0, 2, 2, 2], [1, 1], r"row 0 is not strictly increasing"),
-    ([0, 2, 1, 2], [1, 2], r"decrease at row 1"),
-    ([1, 1, 2, 2], [1, 2], r"out_offsets\[0\] = 1 "),
-    ([0, 1, 1, 1], [1, 2], r"out_offsets\[3\] = 1$"),
-    ([0, 1, 2, 2], [1, 3], r"out_targets\[1\] = 3"),
-    ([0, 1, 2, 2], [1, 1], r"row 1 has a self-loop"),
+# each file's words: n, m, the n + 1 offsets, the m targets
+@pytest.mark.parametrize("words,match", [
+    ([3, 2, 0, 2, 2, 2, 1, 1], r"row 0 is not strictly increasing"),
+    ([3, 2, 0, 2, 1, 2, 1, 2], r"decrease at row 1"),
+    ([3, 2, 1, 1, 2, 2, 1, 2], r"out_offsets\[0\] = 1 "),
+    ([3, 2, 0, 1, 1, 1, 1, 2], r"out_offsets\[3\] = 1$"),
+    ([3, 2, 0, 1, 2, 2, 1, 3], r"out_targets\[1\] = 3"),
+    ([3, 2, 0, 1, 2, 2, 1, 1], r"row 1 has a self-loop"),
+    ([3], r"^truncated binary graph file$"),
+    ([3, 2, 0, 1, 2, 2, 1], r"^binary graph file has inconsistent sizes$"),
 ], ids=["repeated-target", "non-monotone-offsets", "bad-first-offset",
-        "bad-last-offset", "target-out-of-range", "self-loop"])
-def test_read_binary_rejects_broken_layout(tmp_path, offsets, targets, match):
+        "bad-last-offset", "target-out-of-range", "self-loop", "truncated",
+        "inconsistent-sizes"])
+def test_read_binary_rejects_broken_layout(tmp_path, words, match):
     path = tmp_path / "bad.bin"
-    np.array([3, 2, *offsets, *targets], dtype="<u8").tofile(path)
+    np.array(words, dtype="<u8").tofile(path)
     with pytest.raises(ValueError, match=match):
         read_binary(path)
 
@@ -564,6 +572,8 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(2, [0], [2])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [-1], [0])
+    with pytest.raises(ValueError, match="^src and dst must have equal length$"):
+        Graph.from_edges(2, [0, 1], [1])
 
 
 def test_neighborhood_counts_are_int32_while_2n_stays_below_2_31():

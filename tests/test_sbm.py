@@ -33,6 +33,34 @@ def test_params_validation():
         SBMParams((3, 3), np.array([[0.5, 0.1], [0.2, 0.5]]))
     with pytest.raises(ValueError):
         SBMParams((3, 0), np.full((2, 2), 0.1))
+    with pytest.raises(ValueError, match="^rate matrix must be 2x2$"):
+        SBMParams((3, 3), np.full((2, 3), 0.1))
+
+
+class GapStream:
+    """A generator stub that deals out a fixed sequence of geometric gaps in order."""
+
+    def __init__(self, gaps):
+        self.gaps = np.asarray(gaps, dtype=np.int64)
+        self.sizes = []
+
+    def geometric(self, p, size):
+        start = sum(self.sizes)
+        self.sizes.append(size)
+        return self.gaps[start:start + size]
+
+
+def test_bernoulli_hits_draws_again_when_a_chunk_ends_short():
+    # the first chunk's gaps of 1 end at cell len(gaps) - 1, well short of
+    # count, so a second chunk continues from there
+    p, count = 0.1, 100
+    gaps = np.concatenate([np.ones(28, dtype=np.int64),
+                           np.random.default_rng(0).geometric(p, 200)])
+    stub = GapStream(gaps)
+    hits = sbm._bernoulli_hits(stub, p, count)
+    assert len(stub.sizes) >= 2 and stub.sizes[0] == 28
+    positions = np.cumsum(gaps) - 1  # the same gaps as one chunk
+    assert np.array_equal(hits, positions[positions < count])
 
 
 def test_generate_all_zero_rate():
@@ -89,6 +117,13 @@ def test_ari_symmetry_and_identity():
     y = rng.integers(0, 3, size=25)
     assert ari(x, y) == pytest.approx(ari(y, x))
     assert ari(x, x) == 1.0
+
+
+def test_ari_degenerate_contingency_is_one():
+    # one cluster on both sides, or singletons on both sides: the adjustment's
+    # denominator is zero and the partitions are forced identical
+    assert ari([1, 1, 1], [2, 2, 2]) == 1.0
+    assert ari([0, 1, 2], [5, 4, 3]) == 1.0
 
 
 def test_ari_validates_lengths():

@@ -87,6 +87,8 @@ def test_matrix_rejects_duplicates_and_empty():
         build_similarity_matrix(g, [0, 0, 1])
     with pytest.raises(ValueError):
         build_similarity_matrix(g, [])
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        build_similarity_matrix(g, [0, 1], k=0)
 
 
 def test_blocked_computation_matches_unblocked(monkeypatch):
@@ -212,4 +214,7 @@ def test_similarity_csv_rejects_a_body_that_is_not_header_by_header(tmp_path):
         read_similarity_csv(path)
     path.write_text("3,7\n1.0,0.5\n0.5,1.0\n0.5,1.0\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: 3 rows under 2 ids")):
+        read_similarity_csv(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"empty similarity file: {path}")):
         read_similarity_csv(path)

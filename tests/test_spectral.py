@@ -1,6 +1,7 @@
 import functools
 import inspect
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,12 +14,12 @@ from scipy.linalg.blas import dsyrk
 
 from activescan import (ari, auto_sigma, build_similarity_matrix, classical_mds,
                         estimate_num_clusters, generate_sbm, model_selection_affinity,
-                        normalized_affinity_spectrum, paper_params, psi_all,
+                        normalized_affinity_spectrum, paper_params,
                         rbf_affinity, spectral_cluster)
 from activescan.sbm import ARI_MAX_CLUSTERS, ARI_SIMILARITY_K
 from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric, _kmeans_once,
                                  _normalized_affinity, _top_eigh, eigengap_floor_applied)
-from activescan.trimming import _make_entries
+from activescan.trimming import topQ_lstat
 
 # Order of the matrices that exercise the Lanczos path; every other test
 # matrix is below the threshold and takes the dense path.
@@ -65,6 +66,19 @@ def test_rbf_rejects_nonpositive_sigma():
         rbf_affinity(np.eye(3), sigma=-1.0)
     with pytest.raises(ValueError):
         rbf_affinity(np.eye(3), sigma=float("nan"))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (), (3,), (2, 2, 2)],
+                         ids=["3x4", "0-d", "1-d", "3-d"])
+@pytest.mark.parametrize("stage", [
+    auto_sigma, rbf_affinity, normalized_affinity_spectrum, model_selection_affinity,
+    lambda w: spectral_cluster(w, 1, seed=0), classical_mds,
+], ids=["auto_sigma", "rbf_affinity", "normalized_affinity_spectrum",
+        "model_selection_affinity", "spectral_cluster", "classical_mds"])
+def test_spectral_stages_reject_a_matrix_that_is_not_square(stage, shape):
+    message = f"matrix must be square, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stage(np.full(shape, 0.5))
 
 
 def test_auto_sigma_median_and_degenerate_fallback():
@@ -151,12 +165,15 @@ def seeded_restarts():
 
 @pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("k", [1, 2, 4, 10])
-@pytest.mark.parametrize("matrix", ["random", "blocks"])
+@pytest.mark.parametrize("matrix", ["random", "blocks", "fortran"])
 def test_top_eigh_scipy_matvec_matches_the_solve_on_the_array(matrix, k, vectors, monkeypatch,
                                                              seeded_restarts, eigsh_calls):
     # the solve's matvec is scipy's gemv; handing eigsh the array itself
-    # (numpy's a @ x) must give the same bits
-    a = _large_symmetric(1) if matrix == "random" else ideal_affinity(LARGE_BLOCKS)
+    # (numpy's a @ x) must give the same bits, also on a Fortran-ordered
+    # array, which gemv reads untransposed
+    a = ideal_affinity(LARGE_BLOCKS) if matrix == "blocks" else _large_symmetric(1)
+    if matrix == "fortran":
+        a = np.asfortranarray(a)
     if k > len(LARGE_BLOCKS) and matrix == "blocks" and not seeded_restarts:
         pytest.skip("this scipy's eigsh takes no seed for its restart vectors")
     got = _top_eigh(a, k, vectors)
@@ -638,8 +655,7 @@ def test_detect_spectral_chain_holds_one_square_array_beside_the_similarity():
 def paper_sbm_jaccard(seed, q):
     """The ARI protocol's Jaccard matrix of one paper-SBM run's top q vertices."""
     g = generate_sbm(replace(paper_params(), seed=seed)).graph
-    entries = _make_entries(np.arange(g.n), psi_all(g, 1), q)
-    selected = np.array([v for v, _ in entries], dtype=np.int64)
+    selected = np.array([v for v, _ in topQ_lstat(g, q).entries[:q]], dtype=np.int64)
     return build_similarity_matrix(g, selected, ARI_SIMILARITY_K).values
 
 

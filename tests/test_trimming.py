@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,17 @@ def test_trim_report_bytes_are_pinned(tmp_path):
     assert (tmp_path / "r.csv").read_bytes() == (
         b"q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms\r\n"
         b"2,4,9,5,6,3,1.250\r\n2,0,7,5,6,3,1.250\r\n2,2,7,5,6,3,1.250\r\n")
+
+
+def test_trim_report_rejects_an_unknown_format_and_an_empty_csv(tmp_path):
+    r = TopQResult(entries=[], computed_count=0, est1_count=0, est2_count=0)
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        write_trim_report(r, 2, tmp_path / "r.xml", "xml")
+    assert not (tmp_path / "r.xml").exists()
+    path = tmp_path / "r.csv"
+    write_trim_report(r, 2, path, "csv")  # the header row and no entry
+    with pytest.raises(ValueError, match=f"^{re.escape(f'empty trim report: {path}')}$"):
+        read_trim_report(path)
 
 
 @pytest.mark.parametrize("wall_ms", [0.0, 1e-05, 12345.678])
