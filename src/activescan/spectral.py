@@ -19,12 +19,17 @@ otherwise each stage takes its general path (spectral_cluster falls back to
 np.allclose).
 
 numpy and scipy each bundle their own OpenBLAS, and each keeps its own
-thread pool. ARPACK's own BLAS calls run in scipy's pool, so at orders from
-_LANCZOS_MIN_ORDER, where the solves use ARPACK, every BLAS call of these
-stages (the solves' matvecs and model selection's Gram product) goes to
-scipy's BLAS too: two pools that take turns leave one's threads spinning
-while the other works. Smaller orders use numpy's @ and eigh, the pool the
-Jaccard build before them used. Either way one order runs in one pool.
+thread pool. Every top-k solve with k < Q - 1, at every order, is ARPACK's
+Lanczos iteration, whose own BLAS calls run in scipy's pool, so every BLAS
+call of these stages (the solves' matvecs and model selection's Gram
+product) goes to scipy's BLAS: one solver and one pool serve every Q, and
+two pools never take turns, which would leave one's threads spinning while
+the other works. A dense eigendecomposition is only the fallback, for
+k >= Q - 1 and for a solve that ARPACK fails or does not finish. The
+solves make matrix-vector products and smaller BLAS calls, and the tests
+require their outputs to repeat bitwise under one and two BLAS threads;
+the Gram product may round differently per thread count, but it feeds
+only model selection's integer decisions.
 """
 
 from __future__ import annotations
@@ -34,10 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Orders from which the top-k solves use Lanczos iteration. Below it a dense
-# solve takes at most a few tens of milliseconds, while importing ARPACK's
-# modules would add about 9 MB to the resident set of every small run.
-_LANCZOS_MIN_ORDER = 500
 LOCAL_SCALE_K = 3  # model selection: bandwidth is the distance to this neighbour
 KMEANS_RESTARTS = 10  # seeded k-means restarts per clustering
 KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
@@ -64,13 +65,14 @@ def _top_eigh(a: np.ndarray, k: int,
               vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The k largest eigenvalues of symmetric a, descending, and their eigenvectors.
 
-    Matrices of order >= _LANCZOS_MIN_ORDER use ARPACK's Lanczos iteration
-    from a fixed start vector and, where scipy's eigsh takes a seed, seeded
-    restarts, so repeated calls agree bitwise even when k exceeds a's rank;
-    smaller ones, and any solve that does not converge, use the dense
-    solver. Each eigenvector is signed so that its largest-magnitude entry
-    is positive, which makes the result independent of the solver. The
-    second element is None unless vectors is set.
+    For k < q - 1 this is ARPACK's Lanczos iteration from a fixed start
+    vector and, where scipy's eigsh takes a seed, seeded restarts, so
+    repeated calls agree bitwise even when k exceeds a's rank. Larger k,
+    and any solve that ARPACK reports as failed or unconverged (a zero
+    matrix, for one, zeroes the start vector), use the dense solver. Each
+    eigenvector is signed so that its largest-magnitude entry is positive,
+    which makes the result independent of the solver. The second element
+    is None unless vectors is set.
 
     ARPACK's matvec a @ x is scipy's gemv on a as it lies in memory, so the
     whole solve runs in scipy's OpenBLAS pool (module docstring). It is the
@@ -79,9 +81,9 @@ def _top_eigh(a: np.ndarray, k: int,
     """
     q = a.shape[0]
     found = None
-    if q >= _LANCZOS_MIN_ORDER and k < q - 1:
+    if k < q - 1:
         from scipy.linalg.blas import get_blas_funcs
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
         gemv = get_blas_funcs("gemv", (a,))
         operand, trans = _blas_operand(a)
         op = LinearOperator(a.shape, dtype=a.dtype,
@@ -92,7 +94,7 @@ def _top_eigh(a: np.ndarray, k: int,
         seed = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
         try:
             found = eigsh(op, k, which="LA", v0=v0, return_eigenvectors=vectors, **seed)
-        except ArpackNoConvergence:
+        except ArpackError:  # ArpackNoConvergence among them
             pass
     if found is None:
         found = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
@@ -282,11 +284,8 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     The profiles are read in place: values' diagonal is zeroed while the
     squared norms and the Gram product P P^T are formed, then put back
     before anything else runs. The product of the profiles with their own
-    transpose takes BLAS's symmetric rank-k update: scipy's syrk from
-    _LANCZOS_MIN_ORDER on, so that it runs in the pool of the spectrum
-    solve that follows it, and numpy's P @ P.T (the same update) below,
-    where the dense solve runs in numpy's pool. Both make the same BLAS
-    call, but from different OpenBLAS builds, which need not round alike.
+    transpose takes BLAS's symmetric rank-k update, scipy's syrk, so that
+    it runs in the pool of the spectrum solve that follows it.
     Every later step runs in place on the product, in row tiles, so at the
     peak the only Q x Q arrays are values and the Gram product. A reader of
     values on another thread would see the zeroed diagonal during the call.
@@ -304,7 +303,7 @@ def model_selection_affinity(values: np.ndarray) -> np.ndarray:
     np.fill_diagonal(profiles, 0.0)
     try:
         sq = (profiles ** 2).sum(axis=1)
-        d2 = _gram(profiles) if len(profiles) >= _LANCZOS_MIN_ORDER else profiles @ profiles.T
+        d2 = _gram(profiles)
     finally:
         np.fill_diagonal(profiles, diagonal)
     del profiles

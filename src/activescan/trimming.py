@@ -144,7 +144,11 @@ _JSON_ENTRY = "\n    [\n      %d,\n      %d\n    ]"
 
 
 def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> None:
-    """Persist a trim report as JSON (one object) or CSV (metadata repeated)."""
+    """Persist a trim report as JSON (one object) or CSV (metadata repeated).
+
+    The CSV repeats q and the counters on every entry row, so a result with
+    no entries has nowhere to keep them there and raises ValueError.
+    """
     path = Path(path)
     fields = {name: getattr(result, name) for name in _REPORT_FIELDS}
     if fmt == "json":
@@ -155,6 +159,8 @@ def write_trim_report(result: TopQResult, q: int, path, fmt: str = "json") -> No
         entries = f"[{body}\n  ]" if body else "[]"
         path.write_text(f'{head},\n  "entries": {entries}\n}}\n')
     elif fmt == "csv":
+        if not result.entries:
+            raise ValueError("a trim report with no entries cannot be written as csv; use json")
         meta = [f"{fields[name]:.3f}" if kind is float else fields[name]
                 for name, kind in _REPORT_FIELDS.items()]
         with open(path, "w", newline="") as fh:

@@ -65,6 +65,20 @@ def test_detect_cluster_count_without_the_eigengap(flags, clusters, tmp_path):
         assert mds_rows[0][1:] == ["0.0", "0.0"]  # the missing axis is padded with 0.0
 
 
+def test_detect_on_a_complete_graph_writes_zero_mds_coordinates(tmp_path):
+    # every Jaccard value is 1, so MDS centres a zero matrix, from which
+    # ARPACK cannot start; the solve falls back to the dense one
+    path = tmp_path / "k40.edges"
+    path.write_text("".join(f"{i} {j}\n" for i in range(40) for j in range(i + 1, 40)))
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(path), "--Q", "30", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "mds.csv")
+    assert len(rows) == 30
+    assert all(row[1:] == ["0.0", "0.0"] for row in rows)
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert (diag["num_clusters"], diag["cluster_floor_applied"]) == (2, True)
+
+
 def test_detect_writes_stage_timings_beside_its_outputs(tmp_path, monkeypatch):
     from activescan import cli, write_edge_list
     lg_path = tmp_path / "g.edges"
@@ -211,37 +225,58 @@ def test_topq_reads_a_piped_edge_list_once(tmp_path):
     assert (q, res.entries) == (1, [(1, 2)])
 
 
-BLAS_FLOAT_TOL = 1e-12  # absolute; the two thread counts differed by ~1.3e-15 on this graph
-
-
-def test_detect_below_lanczos_orders_agrees_across_blas_thread_counts(tmp_path):
-    # below Q = 500 the dense solves round differently for each BLAS thread
-    # count (README); the selection, labels and decisions must not change,
-    # and the floats must agree to BLAS_FLOAT_TOL. The count is set only
-    # for the two child processes.
+def test_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
+    # every spectral solve below Q - 1 eigenpairs is ARPACK's at every order,
+    # whose bits do not move with the BLAS thread count (README); detect's
+    # outputs and eval's ARI CSVs must read the same under 1 and 2 threads.
+    # The count is set only for the child processes.
     path = tmp_path / "pa.edges"
     write_edge_list(pa_graph(1000, 3, 1)[0], path)
     src = Path(__file__).resolve().parents[1] / "src"
-    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
-    for threads, out in enumerate(outs, 1):
+    commands = {
+        "detect": ["detect", "--input", str(path), "--Q", "300", "--seed", "1"],
+        "eval": ["eval", "--mode", "ari", "--paper", "--runs", "4", "--q-values", "70,200",
+                 "--seed", "1", "--workers", "1"]}
+    for threads in (1, 2):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
-        run = subprocess.run(
-            [sys.executable, "-m", "activescan.cli", "detect", "--input", str(path),
-             "--Q", "300", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-    one, two = outs
-    for name in ("topq.csv", "clusters.csv"):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    diags = [json.loads((out / "diagnostics.json").read_text()) for out in outs]
-    for key in ("num_clusters", "cluster_floor_applied"):
-        assert diags[0][key] == diags[1][key], key
-    assert np.allclose(diags[0]["eigenvalues"], diags[1]["eigenvalues"],
-                       rtol=0, atol=BLAS_FLOAT_TOL)
-    header, coords = zip(*(read_csv_rows(out / "mds.csv") for out in outs))
-    assert header[0] == header[1]
-    assert np.allclose(np.array(coords[0], dtype=float), np.array(coords[1], dtype=float),
-                       rtol=0, atol=BLAS_FLOAT_TOL)
+        for name, argv in commands.items():
+            run = subprocess.run(
+                [sys.executable, "-m", "activescan.cli", *argv,
+                 "--out", str(tmp_path / f"{name}{threads}")],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert run.returncode == 0, run.stderr
+    for name, files in (("detect", ("topq.csv", "clusters.csv", "mds.csv")),
+                        ("eval", ("ari_runs.csv", "ari_summary.csv"))):
+        for file in files:
+            one, two = (tmp_path / f"{name}{threads}" / file for threads in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), file
+    diags = [json.loads((tmp_path / f"detect{threads}" / "diagnostics.json").read_text())
+             for threads in (1, 2)]
+    for diag in diags:
+        diag.pop("trim_wall_ms")
+    assert diags[0] == diags[1]
+
+
+def test_commands_without_a_spectral_stage_import_no_scipy_linalg(tmp_path):
+    # ranking, ROC evaluation and SBM generation never solve an eigenproblem,
+    # so they must not pay for importing ARPACK or scipy's BLAS
+    path = tmp_path / "pa.edges"
+    write_edge_list(pa_graph(200, 3, 1)[0], path)
+    argvs = [["topq", "--input", str(path), "--Q", "20", "--out", str(tmp_path / "top.json")],
+             ["eval", "--mode", "roc", "--paper", "--runs", "2", "--k", "1", "--workers", "1",
+              "--out", str(tmp_path / "roc")],
+             ["sbm", "--paper", "--out", str(tmp_path / "sbm")]]
+    code = ("import sys\n"
+            "from activescan.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "for name in ('scipy.sparse.linalg', 'scipy.linalg'):\n"
+            "    assert name not in sys.modules, name\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_sbm_paper_flag_writes_expected_files(tmp_path, capsys):

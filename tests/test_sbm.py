@@ -12,7 +12,6 @@ from activescan import (SBMParams, ari, expected_edge_count, generate_sbm,
 from activescan.cli import OPTIONS, _parse_q_values
 from activescan.sbm import edge_count_sd
 from activescan.seeds import derive_seed
-from activescan.spectral import _LANCZOS_MIN_ORDER
 from _testutil import ari_oracle, auc_oracle
 
 
@@ -262,11 +261,11 @@ def test_monte_carlo_workers_do_not_change_results():
 
 
 def test_monte_carlo_ari_workers_agree_at_lanczos_orders():
-    # Q >= _LANCZOS_MIN_ORDER: concurrent runs make concurrent ARPACK solves
-    # and scipy-BLAS Gram products; blocks this weak keep the ARI off 1
+    # orders that cross several tiles: concurrent runs make concurrent ARPACK
+    # solves and scipy-BLAS Gram products; blocks this weak keep the ARI off 1
     p = np.full((4, 4), 0.02) + np.diag([0.02, 0.03, 0.04, 0.05])
     params = SBMParams((200, 170, 130, 100), p)
-    q_values = (_LANCZOS_MIN_ORDER, params.n)
+    q_values = (500, params.n)
     one = monte_carlo_ari(params, runs=2, k=1, q_values=q_values, seed=5)
     two = monte_carlo_ari(params, runs=2, k=1, q_values=q_values, seed=5, workers=2)
     assert_same_result(one, two)

@@ -1,12 +1,8 @@
 import functools
 import inspect
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +13,14 @@ from activescan import (ari, auto_sigma, build_similarity_matrix, classical_mds,
                         normalized_affinity_spectrum, paper_params,
                         rbf_affinity, spectral_cluster)
 from activescan.sbm import ARI_MAX_CLUSTERS, ARI_SIMILARITY_K
-from activescan.spectral import (_LANCZOS_MIN_ORDER, _TILE, _is_symmetric, _kmeans_once,
-                                 _normalized_affinity, _top_eigh, eigengap_floor_applied)
+from activescan.spectral import (_TILE, _is_symmetric, _kmeans_once, _normalized_affinity,
+                                 _top_eigh, eigengap_floor_applied)
 from activescan.trimming import topQ_lstat
 
-# Order of the matrices that exercise the Lanczos path; every other test
-# matrix is below the threshold and takes the dense path.
-LARGE = _LANCZOS_MIN_ORDER + 100
+# An order that crosses several tiles; smaller test matrices fit in one
+LARGE = 600
 LARGE_BLOCKS = [200, 170, 130, 100]  # sums to LARGE; distinct sizes
-# Orders on the Lanczos path that cross several tiles and end in a partial one
+# Orders that cross several tiles and end in a partial one
 TILED = [LARGE + 13, 2 * _TILE + 1]
 
 
@@ -235,22 +230,24 @@ def test_top_eigh_falls_back_to_dense_without_convergence(monkeypatch):
     assert np.array_equal(np.abs(evecs), np.abs(want_vecs))
 
 
-def test_small_matrices_do_not_import_arpack():
-    # ARPACK's modules add ~9 MB to the resident set of small runs
-    code = (
-        "import sys, numpy as np\n"
-        "from activescan import (classical_mds, model_selection_affinity,\n"
-        "                        normalized_affinity_spectrum, spectral_cluster)\n"
-        f"w = np.ones(({_LANCZOS_MIN_ORDER - 1},) * 2)\n"
-        "model_selection_affinity(w)\n"
-        "normalized_affinity_spectrum(w, 3)\n"
-        "spectral_cluster(w, 2, seed=0)\n"
-        "classical_mds(w, dims=2)\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n"
-        "assert 'scipy.linalg' not in sys.modules\n")  # scipy's BLAS: small orders use numpy's
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+def test_top_eigh_takes_arpack_exactly_below_q_minus_one_eigenpairs(eigsh_calls):
+    # at every order: the dense solve is only the fallback
+    for q in (3, 40, LARGE):
+        a = _large_symmetric(5)[:q, :q]
+        for k in sorted({1, q - 2, q - 1, q}):
+            del eigsh_calls[:]
+            _top_eigh(a, k)
+            assert eigsh_calls == ([k] if k < q - 1 else []), (q, k)
+
+
+@pytest.mark.parametrize("order", [40, LARGE])
+def test_mds_of_identical_rows_falls_back_to_the_dense_solve(order):
+    # every similarity 1: the centred matrix is zero, and ARPACK stops with
+    # "starting vector is zero", an ArpackError that is not ArpackNoConvergence
+    res = classical_mds(np.ones((order, order)), dims=2)
+    assert np.array_equal(res.coords, np.zeros((order, 2)))
+    assert np.array_equal(res.eigenvalues, np.zeros(2))
+    assert not res.negative_clamped
 
 
 def test_spectral_cluster_repeats_bitwise_above_the_affinity_rank(seeded_restarts):
@@ -473,7 +470,7 @@ def test_mds_equilateral_triangle():
 @pytest.mark.parametrize("seed", range(4))
 def test_mds_recovers_planar_distances(seed):
     rng = np.random.default_rng(seed)
-    for count in (12, LARGE):  # dense and Lanczos paths
+    for count in (12, LARGE):  # one tile and several
         pts = rng.random((count, 2))
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         dist /= dist.max() * 1.01  # keep 1 - d a valid similarity
@@ -538,13 +535,12 @@ def reference_normalized_affinity(w):
 
 
 def reference_gram2(profiles, product):
-    """2 P P^T by `product`: "code" takes the symmetric rank-k update the code
-    takes at that order (scipy's from _LANCZOS_MIN_ORDER, numpy's below),
-    "numpy" numpy's P @ P.T at every order, and "doubled" the general
+    """2 P P^T by `product`: "code" takes the code's symmetric rank-k update,
+    scipy's syrk, "numpy" numpy's P @ P.T, and "doubled" the general
     product (2 P) P^T that model selection used before either."""
     if product == "doubled":
         return (2.0 * profiles) @ profiles.T
-    if product == "numpy" or len(profiles) < _LANCZOS_MIN_ORDER:
+    if product == "numpy":
         return 2.0 * (profiles @ profiles.T)
     c = dsyrk(1.0, profiles.T, trans=1, lower=1)  # only the lower triangle is filled
     return 2.0 * np.where(np.tri(len(profiles), dtype=bool), c, c.T)
@@ -668,9 +664,9 @@ def _decisions(w, max_c):
 def test_model_selection_decisions_match_the_doubled_operand_product(source):
     # the symmetric rank-k product rounds some Gram entries differently from
     # (2 P) P^T (similarity_like at orders 70, 100, 257 and 513 among them),
-    # and scipy's, taken from _LANCZOS_MIN_ORDER, may round differently from
-    # numpy's; but the cluster count and the floor flag, model selection's
-    # only outputs, must agree with both
+    # and scipy's, which the code takes, may round differently from numpy's;
+    # but the cluster count and the floor flag, model selection's only
+    # outputs, must agree with both
     if source == "similarity_like":
         matrices = [similarity_like(order, seed)
                     for order in (70, 100, 257, 513, 613, 777, 1000, 1500) for seed in (8, order)]
@@ -681,7 +677,7 @@ def test_model_selection_decisions_match_the_doubled_operand_product(source):
                     for q in (61, 70, 100, 150, 200)]
     for s in matrices:
         got = model_selection_affinity(s)
-        for product in ("doubled", "numpy") if len(s) >= _LANCZOS_MIN_ORDER else ("doubled",):
+        for product in ("doubled", "numpy"):
             want = reference_model_selection(s, product)
             for max_c in (ARI_MAX_CLUSTERS, 10):  # the ARI harness's cap and detect's default
                 assert _decisions(got, max_c) == _decisions(want, max_c), (len(s), product, max_c)

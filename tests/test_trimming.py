@@ -268,10 +268,18 @@ def test_trim_report_rejects_an_unknown_format_and_an_empty_csv(tmp_path):
     with pytest.raises(ValueError, match="^unknown format 'xml'$"):
         write_trim_report(r, 2, tmp_path / "r.xml", "xml")
     assert not (tmp_path / "r.xml").exists()
+    # the CSV keeps q and the counters on its entry rows, so with no entry
+    # the writer refuses it, and the reader refuses a header alone
     path = tmp_path / "r.csv"
-    write_trim_report(r, 2, path, "csv")  # the header row and no entry
+    with pytest.raises(ValueError, match="^a trim report with no entries cannot be "
+                                         "written as csv; use json$"):
+        write_trim_report(r, 2, path, "csv")
+    assert not path.exists()
+    path.write_text("q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms\r\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'empty trim report: {path}')}$"):
         read_trim_report(path)
+    write_trim_report(r, 2, tmp_path / "r.json", "json")  # JSON keeps them with no entry
+    assert read_trim_report(tmp_path / "r.json") == (2, r)
 
 
 @pytest.mark.parametrize("wall_ms", [0.0, 1e-05, 12345.678])
@@ -288,6 +296,10 @@ def test_trim_report_writer_matches_json_dumps(entries, wall_ms, tmp_path):
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
     q, back = read_trim_report(path)
     assert (q, back) == (2, r)
+    if not entries:  # the CSV has no row to keep the counters in
+        with pytest.raises(ValueError, match="no entries"):
+            write_trim_report(r, 2, tmp_path / "r.csv", "csv")
+        return
     write_trim_report(r, 2, tmp_path / "r.csv", "csv")
     assert (tmp_path / "r.csv").read_bytes() == "".join(
         f"{row}\r\n" for row in ["q,vertex,psi1,computed_count,est1_count,est2_count,wall_ms",
