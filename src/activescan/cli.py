@@ -8,8 +8,12 @@ is type-checked against its option's entry. All randomness flows from
 ACTIVE_SCAN_THREADS (a positive integer) supplies the default of
 --workers, which sizes the thread pool eval maps its Monte-Carlo runs in;
 outputs are identical for every count, and BLAS thread counts are not
-touched. topq, detect and bench-trim accept it but always search in one
-thread, with identical results for any value.
+touched. topq, detect and bench-trim accept it and leave it unused: they
+search in one thread, with identical results for any value.
+
+Every output names a vertex by its id in the input edge list (Graph.ids);
+the library works on the dense ids that load_edge_list assigns in id order,
+so input ids that are already 0..n-1 come out unchanged.
 
 The trim counters of topq, bench-trim and detect's diagnostics.json are,
 with t the final Q-th value: computed_count, the vertices whose exact
@@ -67,7 +71,8 @@ INT = dict(type=int)
 ORDER = dict(INT, low=0)
 COUNT = dict(INT, low=1)
 SWITCH = dict(action="store_const", const=True)
-Q = dict(INT, flag="--Q")
+Q = dict(COUNT, flag="--Q")
+UNUSED = dict(COUNT, help="accepted and unused: the search runs in one thread")
 
 # command -> config key -> (default, add_argument kwargs), in --dump-config
 # order. The flag is --key with dashes unless the kwargs name one; an absent
@@ -77,12 +82,12 @@ Q = dict(INT, flag="--Q")
 OPTIONS = {
     "detect": {
         "input": (None, {}), "out": ("out", {}), "k": (1, ORDER),
-        "q": (2000, dict(Q, low=1)), "similarity_k": (None, COUNT),
+        "q": (2000, Q), "similarity_k": (None, COUNT),
         "sigma": (None, dict(type=float)), "clusters": (None, COUNT),
-        "max_clusters": (10, COUNT), "workers": (None, COUNT), "seed": (0, INT),
+        "max_clusters": (10, COUNT), "workers": (None, UNUSED), "seed": (0, INT),
         "emit_similarity": (False, SWITCH)},
     "topq": {
-        "input": (None, {}), "q": (2000, Q), "workers": (None, COUNT), "out": (None, {}),
+        "input": (None, {}), "q": (2000, Q), "workers": (None, UNUSED), "out": (None, {}),
         "format": ("json", dict(choices=["csv", "json"]))},
     "sbm": {
         "params": (None, dict(help="JSON file with block_sizes/p/seed")),
@@ -94,7 +99,7 @@ OPTIONS = {
         "q_values": ("61,70,100,150,200", {}), "seed": (0, INT),
         "workers": (None, COUNT), "out": ("eval", {})},
     "bench-trim": {
-        "input": (None, {}), "q_values": (None, {}), "workers": (None, COUNT),
+        "input": (None, {}), "q_values": (None, {}), "workers": (None, UNUSED),
         "out": ("bench.csv", {})},
 }
 
@@ -210,6 +215,11 @@ class _StageClock:
         return {"wall_ms": (time.perf_counter() - self.start) * 1e3, "stages": self.stages}
 
 
+def _named(g, result):
+    """result with each vertex named by its input id."""
+    return replace(result, entries=[(int(g.ids[v]), val) for v, val in result.entries])
+
+
 def _cmd_detect(cfg: dict) -> int:
     clock = _StageClock(("load", "rank", "similarity", "model_selection", "clustering",
                          "mds", "write"))
@@ -224,16 +234,16 @@ def _cmd_detect(cfg: dict) -> int:
     clock.lap("load")
     result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"], cfg["k"])
     clock.lap("rank")
-    _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg['k']}"],
-               [(v, val) for v, val in result.entries])
+    _write_csv(out_dir / "topq.csv", ["vertex", f"psi{cfg['k']}"], _named(g, result).entries)
     clock.lap("write")
 
     selected = np.array([v for v, _ in result.entries[:cfg["q"]]], dtype=np.int64)
+    names = g.ids[selected].tolist()
     sim_k = cfg["similarity_k"] if cfg["similarity_k"] is not None else max(cfg["k"], 1)
     sim = build_similarity_matrix(g, selected, sim_k)
     clock.lap("similarity")
     if cfg["emit_similarity"]:
-        write_similarity_csv(sim, out_dir / "similarity.csv")
+        write_similarity_csv(replace(sim, vertices=names), out_dir / "similarity.csv")
         clock.lap("write")
 
     max_c = min(cfg["max_clusters"], sim.order)
@@ -255,7 +265,7 @@ def _cmd_detect(cfg: dict) -> int:
                                     derive_seed(cfg["seed"], "spectral"), overwrite_w=True)
     clock.lap("clustering")
     _write_csv(out_dir / "clusters.csv", ["vertex", "cluster"],
-               zip(selected.tolist(), labels.tolist()))
+               zip(names, labels.tolist()))
     clock.lap("write")
 
     mds = classical_mds(sim.values, dims=min(2, sim.order))
@@ -264,7 +274,7 @@ def _cmd_detect(cfg: dict) -> int:
         np.column_stack([mds.coords, np.zeros(sim.order)])
     _write_csv(out_dir / "mds.csv", ["vertex", "x", "y"],
                [(v, repr(x), repr(y))
-                for v, (x, y) in zip(selected.tolist(), coords.tolist())])
+                for v, (x, y) in zip(names, coords.tolist())])
 
     diagnostics = {
         "n": g.n, "m": g.m, "q": cfg["q"], "k": cfg["k"], "similarity_k": sim_k,
@@ -287,7 +297,7 @@ def _cmd_topq(cfg: dict) -> int:
     g = load_edge_list(_input_path(cfg))
     result = topQ_lstat_parallel(g, cfg["q"], cfg["workers"])
     if cfg["out"]:
-        write_trim_report(result, cfg["q"], cfg["out"], cfg["format"])
+        write_trim_report(_named(g, result), cfg["q"], cfg["out"], cfg["format"])
     else:
         print(f"q={cfg['q']} computed={result.computed_count} "
               f"est1={result.est1_count} est2={result.est2_count} "
@@ -344,6 +354,8 @@ def _cmd_bench_trim(cfg: dict) -> int:
     if not cfg["q_values"]:
         raise ValueError("--q-values is required")
     q_values = _parse_q_values(cfg["q_values"])
+    if min(q_values) < 1:
+        raise ValueError("q-values must be >= 1")
     if any(b <= a for a, b in zip(q_values, q_values[1:])):
         raise ValueError("q-values must be strictly ascending")
     g = load_edge_list(_input_path(cfg))

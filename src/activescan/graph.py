@@ -1,4 +1,6 @@
-"""Directed simple-graph container with sorted CSR adjacency."""
+"""Directed simple-graph container with sorted CSR adjacency, and its readers
+and writers. Vertices are dense ids in [0, n); a graph read from an edge list
+also carries the input id of each vertex (Graph.ids)."""
 
 from __future__ import annotations
 
@@ -63,16 +65,19 @@ class Graph:
     and merges sorted rows into M. In-neighbors, degrees and the unit
     undirected matrix are derived from A and M. Both are sparse arrays, not
     sparse matrices, so * is elementwise on every product built from them,
-    as on numpy arrays. Every array is read-only, so instances are safe to
-    share between any number of concurrent readers.
+    as on numpy arrays. ids is the input id of each vertex, ascending, for a
+    graph that load_edge_list read, and None for any other; equality ignores
+    it. Every array is read-only, so instances are safe to share between any
+    number of concurrent readers.
     """
 
-    __slots__ = ("n", "m", "_adj", "_und", "_deg")
+    __slots__ = ("n", "m", "ids", "_adj", "_und", "_deg")
 
     def __init__(self, n, offsets, targets):
         """Graph on n vertices from CSR rows that are sorted, loop-free and
         free of repeats (what from_edges and read_binary guarantee)."""
         self.n = int(n)
+        self.ids = None
         self._adj = _csr(np.ones(len(targets), dtype=np.int8), targets, offsets,
                          (self.n, self.n))
         self._und = self._adj + self._adj.T
@@ -435,13 +440,13 @@ def _dense_ids(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen).astype(raw.dtype, copy=False), rank[raw]
 
 
-def load_edge_list(source, *, with_mapping: bool = False):
+def load_edge_list(source) -> Graph:
     """Parse a plain-text edge list into a Graph.
 
     Each non-comment line is "src dst" with arbitrary whitespace; lines
     starting with '#' and blank lines are skipped. Vertex ids may be any
-    integers in [0, 2^63) and are remapped to dense [0, n); the mapping
-    (dense id -> original id) is returned when with_mapping is set.
+    integers in [0, 2^63) and are remapped to dense [0, n) in id order;
+    the graph's ids holds the input id of each dense vertex.
     Self-loops and duplicate edges are dropped with a counted warning.
     Malformed input raises EdgeListParseError with its line number.
     """
@@ -450,19 +455,19 @@ def load_edge_list(source, *, with_mapping: bool = False):
     src = inverse[:len(pairs)]
     dst = inverse[len(pairs):]
     g = Graph.from_edges(ids.size, src, dst)
+    ids.flags.writeable = False
+    g.ids = ids
     n_loops = int((src == dst).sum())
     n_dups = src.size - n_loops - g.m
     if n_loops:
         log.warning("dropped %d self-loop(s)", n_loops)
     if n_dups:
         log.warning("dropped %d duplicate edge(s)", n_dups)
-    if with_mapping:
-        return g, ids
     return g
 
 
 def write_edge_list(g: Graph, sink) -> None:
-    """Write the canonical edge list (dense ids, sorted by (src, dst))."""
+    """Write the canonical edge list (dense ids, not g.ids, sorted by (src, dst))."""
     src, dst = g.edge_arrays()
     lines = "".join(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist()))
     if isinstance(sink, (str, Path)):

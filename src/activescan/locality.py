@@ -35,14 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Graph, _check_rows, _csr, degree_stat, induced_edge_count,
-                    neighborhood, neighborhood_blocks)
+from .graph import (Graph, _csr, degree_stat, induced_edge_count, neighborhood,
+                    neighborhood_blocks)
 
 
 @dataclass(frozen=True)
 class LocalityScore:
-    vertex: int
-    k: int
     value: int
 
 
@@ -82,16 +80,14 @@ def local_stat(g: Graph, v: int, marker: VertexMarker | None = None) -> Locality
         marker = VertexMarker(g.n)
     nb = g.neighbors(v)
     marker.mark(v, nb)
-    value = marker.count_marked(g._adj[np.append(nb, v)].indices)
-    return LocalityScore(vertex=v, k=1, value=value)
+    return LocalityScore(marker.count_marked(g._adj[np.append(nb, v)].indices))
 
 
 def psi_k(g: Graph, v: int, k: int) -> LocalityScore:
     """Locality statistic of order k: edges induced by neighborhood(v, k)."""
     if k == 0:
-        return LocalityScore(vertex=v, k=0, value=degree_stat(g, v))
-    value = induced_edge_count(g, neighborhood(g, v, k))
-    return LocalityScore(vertex=v, k=k, value=value)
+        return LocalityScore(degree_stat(g, v))
+    return LocalityScore(induced_edge_count(g, neighborhood(g, v, k)))
 
 
 def est_lstat1(g: Graph, v: int) -> int:
@@ -155,20 +151,10 @@ def _unit(g: Graph) -> sp.csr_array:
 
 
 def _psi1(deg: np.ndarray, rows: sp.csr_array, lm: sp.csr_array) -> np.ndarray:
+    """The order-1 kernel on the rows C: deg is deg[C], rows U[C] and lm
+    oriented_pairs(g)."""
     inside = (rows @ lm).multiply(rows)
     return deg + np.asarray(inside.sum(axis=1)).ravel()
-
-
-def psi1_rows(g: Graph, vertices, lm: sp.csr_array | None = None) -> np.ndarray:
-    """Exact order-1 statistic of the given vertices by the kernel.
-
-    lm is oriented_pairs(g); pass it when evaluating several row sets of
-    one graph, so that it is built once.
-    """
-    vertices = _check_rows(g, vertices, 1)
-    if lm is None:
-        lm = oriented_pairs(g)
-    return _psi1(g.degrees()[vertices], _unit(g)[vertices], lm)
 
 
 def psi_all(g: Graph, k: int) -> np.ndarray:

@@ -8,9 +8,10 @@ Both upper bounds are computed for every vertex up front, and b(v) is the
 smaller. The search runs in rounds over `known`: the exact value where
 computed, b elsewhere. Each round takes U, the Q-th largest value of
 known, and evaluates every uncomputed vertex with b(v) >= U in one call
-of the order-1 kernel (locality.psi1_rows); it stops when no such vertex
-remains. Known values only fall, so U never rises and never drops below
-t, the final Q-th value: the computed vertices are exactly
+of the order-1 kernel, locality._psi1, on operands built once per search
+(the unit undirected adjacency, LM and the degrees); it stops when no
+such vertex remains. Known values only fall, so U never rises and never
+drops below t, the final Q-th value: the computed vertices are exactly
 {v : b(v) >= t}, the stop rule of the threshold algorithm (Fagin, Lotem &
 Naor, 2001). A bound equal to U is never pruned, so ties at the Q-th
 position are always discovered.
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph
-from .locality import _bounds, oriented_pairs, psi1_rows, psi_all
+from .locality import _bounds, _psi1, _unit, oriented_pairs, psi_all
 
 
 @dataclass
@@ -77,7 +78,7 @@ def _search(g: Graph, q: int) -> TopQResult:
     order = np.argsort(-bound)
     falling = bound[order]
     rising = -falling
-    lm = oriented_pairs(g)
+    unit, lm, deg = _unit(g), oriented_pairs(g), g.degrees()
     top = falling[:0]  # the Q largest exact values so far
     values = []
     done = 0  # order[:done] is computed
@@ -88,7 +89,8 @@ def _search(g: Graph, q: int) -> TopQResult:
         end = int(np.searchsorted(rising, -t, side="right"))
         if end == done:
             break
-        values.append(psi1_rows(g, order[done:end], lm))
+        rows = order[done:end]
+        values.append(_psi1(deg[rows], unit[rows], lm))
         top = np.concatenate((top, values[-1]))
         top = np.partition(top, top.size - q)[-q:]
         done = end

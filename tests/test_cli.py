@@ -183,6 +183,32 @@ def test_topq_trims_on_skewed_graph(tmp_path):
     assert res.computed_count < g.n
 
 
+def test_outputs_name_the_input_ids(tmp_path):
+    # psi_1 ranks the input's 30, 10, 20, 40 (dense ids 2, 0, 1, 3)
+    path = tmp_path / "sparse.edges"
+    path.write_text("10 20\n20 30\n30 10\n30 40\n")
+    for fmt in ("json", "csv"):
+        report = tmp_path / f"r.{fmt}"
+        assert main(["topq", "--input", str(path), "--Q", "4", "--format", fmt,
+                     "--out", str(report)]) == 0
+        assert read_trim_report(report)[1].entries == [(30, 4), (10, 3), (20, 3), (40, 1)]
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(path), "--Q", "4", "--out", str(out),
+                 "--emit-similarity"]) == 0
+    want = ["30", "10", "20", "40"]
+    for name in ("topq.csv", "clusters.csv", "mds.csv"):
+        assert [row[0] for row in read_csv_rows(out / name)[1]] == want, name
+    assert read_csv_rows(out / "similarity.csv")[0] == want
+
+
+@pytest.mark.parametrize("command", ["topq", "detect", "bench-trim"])
+def test_workers_help_says_the_search_leaves_it_unused(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "accepted and unused: the search runs in one thread" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def test_topq_repeated_runs_identical_reports(tmp_path):
     g, _, _ = er_graph(150, 0.04, 8)
     from activescan import write_edge_list
@@ -408,6 +434,10 @@ def test_bench_trim_full_q(tmp_path):
 
 def test_bench_trim_validates_q_values(tmp_path, capsys):
     path = write_tri(tmp_path)
+    rc = main(["bench-trim", "--input", str(tmp_path / "absent.edges"), "--q-values", "0,2",
+               "--out", str(tmp_path / "b.csv")])
+    assert rc == 1  # checked before the input is opened
+    assert json.loads(capsys.readouterr().err)["message"] == "q-values must be >= 1"
     rc = main(["bench-trim", "--input", str(path), "--q-values", "3,1",
                "--out", str(tmp_path / "b.csv")])
     assert rc != 0
@@ -464,6 +494,7 @@ def test_config_values_are_type_checked(tmp_path, capsys):
             ({"workers": None, "format": None},
              "config key 'format' must be one of ['csv', 'json'], got None"),
             ({"workers": 0}, "workers must be >= 1"),
+            ({"q": 0}, "Q must be >= 1"),
             ([1, 2], "config file must hold a JSON object, got list")):
         cfg.write_text(json.dumps(value))
         assert main(["topq", "--input", str(path), "--config", str(cfg)]) == 1

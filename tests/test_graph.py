@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from activescan import (EdgeListParseError, Graph, degree_stat,
+from activescan import (EdgeListParseError, Graph, degree_stat, generate_sbm,
                         induced_edge_count, load_edge_list, neighborhood,
-                        psi_all, read_binary, write_binary, write_edge_list)
+                        paper_params, psi_all, read_binary, write_binary,
+                        write_edge_list)
 from activescan import graph
 from activescan.graph import (_dense_ids, _fast_pairs, _head_length, _loop_pairs,
                               _parse_pairs, closed_neighborhood_rows, count_width,
@@ -31,9 +32,9 @@ def test_load_three_cycle():
 
 def test_load_drops_self_loop_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
-        g, mapping = load_edge_list(io.StringIO("5 5\n5 6"), with_mapping=True)
+        g = load_edge_list(io.StringIO("5 5\n5 6"))
     assert (g.n, g.m) == (2, 1)
-    assert mapping.tolist() == [5, 6]
+    assert g.ids.tolist() == [5, 6]
     assert "1 self-loop" in caplog.text
 
 
@@ -50,10 +51,10 @@ def test_load_counts_loops_and_duplicates_once(tmp_path, caplog, header):
     path = tmp_path / "dirty.edges"
     path.write_text(header + "7 7\n3 9\n7 7\n3 9\n9 3\n3 9\n9 7\n7 7\n5 5\n")
     with caplog.at_level(logging.WARNING):
-        g, mapping = load_edge_list(path, with_mapping=True)
+        g = load_edge_list(path)
     assert [r.getMessage() for r in caplog.records] == [
         "dropped 4 self-loop(s)", "dropped 2 duplicate edge(s)"]
-    assert mapping.tolist() == [3, 5, 7, 9]
+    assert g.ids.tolist() == [3, 5, 7, 9]
     assert g == Graph.from_edges(4, [0, 3, 3], [3, 0, 2])
     assert g.in_neighbors(0).tolist() == [3]
     assert g.neighbors(3).tolist() == [0, 2]
@@ -130,8 +131,8 @@ def test_a_leading_header_keeps_the_c_level_parse(tmp_path, monkeypatch):
     mid = [*HEADER, "5 6", "# mid", "7 8"]
     assert _fast_pairs(mid, _head_length(mid)) is None
     monkeypatch.setattr(graph, "_loop_pairs", None)  # the loop must not run
-    assert load_edge_list(path, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
-    assert load_edge_list(lines, with_mapping=True)[1].tolist() == [5, 6, 7, 8]
+    assert load_edge_list(path).ids.tolist() == [5, 6, 7, 8]
+    assert load_edge_list(lines).ids.tolist() == [5, 6, 7, 8]
 
 
 def test_fast_parse_reads_plain_edge_lists():
@@ -151,8 +152,8 @@ def test_load_edge_list_parity_cases(tmp_path):
         assert exc.value.line_no == line_no
     path = tmp_path / "ok.edges"
     path.write_bytes(b"# header\n1_0 2\r\n\n  \t\n2 10\n")
-    g, ids = load_edge_list(path, with_mapping=True)
-    assert ids.tolist() == [2, 10] and g.m == 2
+    g = load_edge_list(path)
+    assert g.ids.tolist() == [2, 10] and g.m == 2
     path.write_bytes(b"0 1\n1 \xff\n")
     with pytest.raises(EdgeListParseError) as exc:
         load_edge_list(path)
@@ -258,15 +259,15 @@ def test_random_files_parse_as_the_line_loop(tmp_path):
 
 
 def _load_fifo(fifo, data: bytes):
-    """load_edge_list(fifo) while a thread writes data into it: the graph and
-    mapping, or the error raised."""
+    """load_edge_list(fifo) while a thread writes data into it: the graph, or
+    the error raised."""
     def write():
         with open(fifo, "wb") as fh:
             fh.write(data)
 
     def read():
         try:
-            out.append(load_edge_list(fifo, with_mapping=True))
+            out.append(load_edge_list(fifo))
         except Exception as exc:
             out.append(exc)
     out = []
@@ -308,11 +309,49 @@ def test_fifo_is_read_once(tmp_path):
     # the C parse fails on the comment; the loop must get the same lines
     fifo = tmp_path / "edges.fifo"
     os.mkfifo(fifo)
-    g, ids = _load_fifo(fifo, b"0 1\n# c\n1 2\n")
-    assert ids.tolist() == [0, 1, 2] and g == Graph.from_edges(3, [0, 1], [1, 2])
+    g = _load_fifo(fifo, b"0 1\n# c\n1 2\n")
+    assert g.ids.tolist() == [0, 1, 2] and g == Graph.from_edges(3, [0, 1], [1, 2])
     exc = _load_fifo(fifo, b"0 1\nx 2\n")
     assert isinstance(exc, EdgeListParseError) and exc.line_no == 2
     assert str(exc) == "line 2: non-integer token in 'x 2'"
+
+
+@pytest.mark.parametrize("route", ["bitmap", "sort", "loop", "fifo"])
+def test_load_edge_list_carries_the_input_ids(route, tmp_path, monkeypatch):
+    # every route to the dense ids keeps their table: a bitmap of a narrow
+    # id range, a sort of ids up to 2^63 - 1, the line loop (a comment after
+    # the first edge) and a pipe, read once
+    a, b, c, d = (10, 2**40, 2**62, 2**63 - 1) if route == "sort" else (3, 5, 7, 9)
+    data = f"{b} {c}\n{c} {a}\n{'# c' if route == 'loop' else ''}\n{a} {b}\n{c} {d}\n"
+    calls = []
+    for module, name in ((graph, "_loop_pairs"), (np, "unique")):
+        def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    if route == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        os.mkfifo(tmp_path / "edges.fifo")
+        g = _load_fifo(tmp_path / "edges.fifo", data.encode())
+    else:
+        (tmp_path / "g.edges").write_text(data)
+        g = load_edge_list(tmp_path / "g.edges")
+    assert calls == {"sort": ["unique"], "loop": ["_loop_pairs"]}.get(route, [])
+    assert g.ids.dtype == np.int64 and g.ids.tolist() == [a, b, c, d]
+    assert g == Graph.from_edges(4, [1, 2, 0, 2], [2, 0, 1, 3])
+    with pytest.raises(ValueError, match="read-only"):
+        g.ids[0] = 0
+
+
+def test_only_a_loaded_edge_list_carries_ids(tmp_path):
+    g = Graph.from_edges(3, [0, 1], [1, 2])
+    write_binary(g, tmp_path / "g.bin")
+    assert g.ids is None and read_binary(tmp_path / "g.bin").ids is None
+    assert generate_sbm(paper_params(seed=1)).graph.ids is None
+    # equality is structural: the same edges under other input ids compare equal
+    loaded = load_edge_list(io.StringIO("10 20\n20 30\n"))
+    assert loaded.ids.tolist() == [10, 20, 30] and loaded == g
 
 
 @pytest.mark.parametrize("top", [0, 1, 50, 399, 400, 401, 10**6, 2**62])
@@ -438,8 +477,8 @@ def test_every_view_matches_raw_edges(tmp_path, case, build):
     if build == "load_edge_list":
         path = tmp_path / "g.edges"
         path.write_text("".join(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist())))
-        g, ids = load_edge_list(path, with_mapping=True)
-        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+        g = load_edge_list(path)
+        src, dst = np.searchsorted(g.ids, src), np.searchsorted(g.ids, dst)
     elif build == "read_binary":
         write_binary(g, tmp_path / "g.bin")
         g = read_binary(tmp_path / "g.bin")

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from activescan import (Graph, VertexMarker, est_lstat1, est_lstat2,
                         local_stat, paper_params, generate_sbm, psi_all, psi_k)
 from activescan import graph, locality
-from activescan.locality import oriented_pairs, psi1_rows
+from activescan.locality import _psi1, _unit, oriented_pairs
 from _testutil import (HUB_FAMILIES, dense_psi_oracle, er_graph, pa_graph,
                        planted_clique_graph, psi_oracle, tri_graph,
                        triangles_graph)
@@ -78,6 +78,12 @@ def reciprocal_graph():
     return (Graph.from_edges(9, src, dst), np.array(src), np.array(dst))
 
 
+def kernel_rows(g, rows, lm):
+    """The order-1 kernel on the given rows, called as the top-Q search calls it."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return _psi1(g.degrees()[rows], _unit(g)[rows], lm)
+
+
 def kernel_graphs(style):
     if style in HUB_FAMILIES:
         return [HUB_FAMILIES[style]()]
@@ -95,23 +101,20 @@ def test_psi1_kernel_matches_raw_edge_oracle(style):
     for g, src, dst in kernel_graphs(style):
         want = np.array([psi_oracle(g.n, src, dst, v, 1) for v in range(g.n)])
         assert np.array_equal(psi_all(g, 1), want)
-        assert np.array_equal(psi1_rows(g, np.arange(g.n)), want)
         rng = np.random.default_rng(g.n)
         lm = oriented_pairs(g)
         for size in (0, 1, g.n // 3, g.n):
             rows = rng.choice(g.n, size, replace=False)
-            got = psi1_rows(g, rows, lm)
+            got = kernel_rows(g, rows, lm)
             assert got.dtype == np.int64 and got.tolist() == want[rows].tolist()
 
 
 def test_psi1_kernel_empty_rows_and_graph():
     g = reciprocal_graph()[0]
-    assert psi1_rows(g, []).tolist() == []
+    assert kernel_rows(g, [], oriented_pairs(g)).tolist() == []
     empty = Graph.from_edges(0, [], [])
-    assert psi1_rows(empty, []).tolist() == []
+    assert kernel_rows(empty, [], oriented_pairs(empty)).tolist() == []
     assert psi_all(empty, 1).tolist() == []
-    with pytest.raises(ValueError):
-        psi1_rows(g, [g.n])
 
 
 def test_oriented_pairs_hold_each_pair_once_towards_higher_rank():
