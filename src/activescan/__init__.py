@@ -6,9 +6,8 @@ vertices, and cluster it spectrally. A stochastic block model harness
 evaluates the pipeline with ROC/AUC and Adjusted Rand Index protocols.
 """
 
-from .graph import (EdgeListParseError, Graph, degree_stat, induced_edge_count,
-                    load_edge_list, neighborhood, read_binary, write_binary,
-                    write_edge_list)
+from .graph import (EdgeListParseError, Graph, induced_edge_count, load_edge_list,
+                    neighborhood, read_binary, write_binary, write_edge_list)
 from .locality import (LocalityScore, VertexMarker, est_lstat1, est_lstat2,
                        local_stat, psi_all, psi_k)
 from .sbm import (AriResult, EvalCurve, LabeledGraph, RocResult, SBMParams,
@@ -31,7 +30,7 @@ __all__ = [
     "Graph", "LabeledGraph", "LocalityScore", "MdsResult", "RocResult",
     "SBMParams", "SimilarityMatrix", "SpectralDiagnostics", "TopQResult",
     "VertexMarker", "ari", "auto_sigma",
-    "build_similarity_matrix", "classical_mds", "degree_stat", "derive_seed",
+    "build_similarity_matrix", "classical_mds", "derive_seed",
     "est_lstat1", "est_lstat2", "estimate_num_clusters",
     "expected_edge_count", "generate_sbm", "induced_edge_count", "jaccard",
     "load_edge_list", "local_stat", "model_selection_affinity",

@@ -62,8 +62,8 @@ class Graph:
     M = A + A^T, the undirected view, whose value at (v, z) is the pair's
     directed multiplicity (1, or 2 for a reciprocal pair). Both are built
     in O(n + m) from sorted rows: scipy forms A^T by a counting transpose
-    and merges sorted rows into M. In-neighbors, degrees and the unit
-    undirected matrix are derived from A and M. Both are sparse arrays, not
+    and merges sorted rows into M. neighbors and degrees read M's rows and
+    row sums, edge_arrays A's entries. A and M are sparse arrays, not
     sparse matrices, so * is elementwise on every product built from them,
     as on numpy arrays. ids is the input id of each vertex, ascending, for a
     graph that load_edge_list read, and None for any other; equality ignores
@@ -113,17 +113,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Sorted out-neighbors of v (read-only view)."""
-        return self._adj.indices[self._adj.indptr[v]:self._adj.indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Sorted in-neighbors of v, derived from row v of M in O(deg)."""
-        lo, hi = self._und.indptr[v], self._und.indptr[v + 1]
-        nb = self._und.indices[lo:hi]
-        # a neighbor points at v unless it is an out-neighbor of v only
-        return nb[(self._und.data[lo:hi] == 2) | ~np.isin(nb, self.out_neighbors(v))]
-
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted distinct undirected neighbors of v, excluding v (read-only view)."""
         return self._und.indices[self._und.indptr[v]:self._und.indptr[v + 1]]
@@ -148,12 +137,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def degree_stat(g: Graph, v: int) -> int:
-    """In-degree plus out-degree of v; a reciprocal pair counts twice."""
-    g._check_vertex(v)
-    return int(g._deg[v])
 
 
 def _check_rows(g: Graph, vertices, k: int) -> np.ndarray:

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Graph, _csr, degree_stat, induced_edge_count, neighborhood,
-                    neighborhood_blocks)
+from .graph import Graph, _csr, induced_edge_count, neighborhood, neighborhood_blocks
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ def local_stat(g: Graph, v: int, marker: VertexMarker | None = None) -> Locality
 def psi_k(g: Graph, v: int, k: int) -> LocalityScore:
     """Locality statistic of order k: edges induced by neighborhood(v, k)."""
     if k == 0:
-        return LocalityScore(degree_stat(g, v))
+        g._check_vertex(v)
+        return LocalityScore(int(g.degrees()[v]))
     return LocalityScore(induced_edge_count(g, neighborhood(g, v, k)))
 
 

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from activescan import (EdgeListParseError, Graph, degree_stat, generate_sbm,
-                        induced_edge_count, load_edge_list, neighborhood,
-                        paper_params, psi_all, read_binary, write_binary,
-                        write_edge_list)
+from activescan import (EdgeListParseError, Graph, generate_sbm, induced_edge_count,
+                        load_edge_list, neighborhood, paper_params, psi_all,
+                        read_binary, write_binary, write_edge_list)
 from activescan import graph
 from activescan.graph import (_dense_ids, _fast_pairs, _head_length, _loop_pairs,
                               _parse_pairs, closed_neighborhood_rows, count_width,
@@ -25,8 +24,7 @@ from _testutil import (HUB_FAMILIES, bfs_set, count_edges_within, er_graph,
 def test_load_three_cycle():
     g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
     assert (g.n, g.m) == (3, 3)
-    assert g.out_neighbors(0).tolist() == [1]
-    assert g.in_neighbors(0).tolist() == [2]
+    assert [a.tolist() for a in g.edge_arrays()] == [[0, 1, 2], [1, 2, 0]]
     assert g.neighbors(0).tolist() == [1, 2]
 
 
@@ -56,7 +54,7 @@ def test_load_counts_loops_and_duplicates_once(tmp_path, caplog, header):
         "dropped 4 self-loop(s)", "dropped 2 duplicate edge(s)"]
     assert g.ids.tolist() == [3, 5, 7, 9]
     assert g == Graph.from_edges(4, [0, 3, 3], [3, 0, 2])
-    assert g.in_neighbors(0).tolist() == [3]
+    assert g.degrees().tolist() == [2, 0, 1, 3]  # 3 9 and 9 3 count twice
     assert g.neighbors(3).tolist() == [0, 2]
 
 
@@ -366,16 +364,6 @@ def test_dense_ids_match_np_unique(top):
     assert np.array_equal(ids, want_ids) and np.array_equal(inverse, want_inverse)
 
 
-def test_degree_stat_cases():
-    g = tri_graph()
-    assert all(degree_stat(g, v) == 2 for v in range(3))
-    g2 = Graph.from_edges(3, [0, 1], [1, 0])  # reciprocal pair, isolated 2
-    assert degree_stat(g2, 0) == 2
-    assert degree_stat(g2, 2) == 0
-    with pytest.raises(ValueError):
-        degree_stat(g, 3)
-
-
 def test_neighborhood_basics():
     g = tri_graph()
     assert neighborhood(g, 0, 0).tolist() == [0]
@@ -461,9 +449,10 @@ VIEW_CASES = view_cases()
 def assert_views_match_raw_edges(g, src, dst):
     out, inn, und, mult = raw_views(g.n, src, dst)
     assert g.m == sum(len(row) for row in out)
+    g_src, g_dst = g.edge_arrays()
+    assert g_src.tolist() == [v for v in range(g.n) for _ in out[v]]
+    assert g_dst.tolist() == [z for v in range(g.n) for z in out[v]]
     for v in range(g.n):
-        assert g.out_neighbors(v).tolist() == out[v]
-        assert g.in_neighbors(v).tolist() == inn[v]
         assert g.neighbors(v).tolist() == und[v]
         lo, hi = g._und.indptr[v], g._und.indptr[v + 1]
         assert g._und.data[lo:hi].tolist() == mult[v]
@@ -531,26 +520,27 @@ def test_induced_edge_count_full_graph_is_m():
 def test_transpose_consistency(n, p, seed):
     g, _, _ = er_graph(n, p, seed)
     src, dst = g.edge_arrays()
-    rebuilt = Graph.from_edges(n, src, dst)
-    for v in range(n):
-        assert np.array_equal(g.in_neighbors(v), rebuilt.in_neighbors(v))
-    # every out edge appears in the in-list of its target
-    order = np.lexsort((src, dst))
-    by_dst_src = src[order]
-    in_lists = [g.in_neighbors(v) for v in range(n)]
-    assert np.array_equal(by_dst_src, np.concatenate(in_lists))
+    assert Graph.from_edges(n, src, dst) == g
+    # M = A + A^T: every edge adds 1 at (src, dst) and at (dst, src), so each
+    # M slot, in row-major order, holds the pair's count over both directions
+    keys, counts = np.unique(np.concatenate((src * n + dst, dst * n + src)),
+                             return_counts=True)
+    rows = np.repeat(np.arange(n), np.diff(g._und.indptr))
+    assert np.array_equal(rows * n + g._und.indices, keys)
+    assert np.array_equal(g._und.data, counts)
 
 
 def test_adjacency_strictly_increasing():
     g, _, _ = er_graph(120, 0.05, 9)
+    src, dst = g.edge_arrays()
+    assert (np.diff(src * g.n + dst) > 0).all()
     for v in range(g.n):
-        for row in (g.out_neighbors(v), g.in_neighbors(v), g.neighbors(v)):
-            assert (np.diff(row) > 0).all()
+        assert (np.diff(g.neighbors(v)) > 0).all()
 
 
 def test_graph_arrays_are_read_only():
     g = tri_graph()
-    for view in (g.degrees(), g.neighbors(1), g.out_neighbors(0)):
+    for view in (g.degrees(), g.neighbors(1)):
         with pytest.raises(ValueError, match="read-only"):
             view[0] += 5
     for arr in (g._adj.indptr, g._adj.indices, g._adj.data,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,14 @@ def test_psi_k_three_cycle():
     assert psi_k(g, 0, 1).value == 3
     assert psi_k(g, 0, 0).value == 2
     assert psi_k(g, 0, 2).value == 3
+
+
+def test_psi_k0_cases():
+    g = Graph.from_edges(3, [0, 1], [1, 0])  # reciprocal pair, isolated 2
+    assert [psi_k(g, v, 0).value for v in range(3)] == [2, 2, 0]
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range [0, 3)")):
+            psi_k(g, v, 0)
 
 
 def test_local_stat_star_counts_only_internal_edges():
@@ -121,10 +130,11 @@ def test_oriented_pairs_hold_each_pair_once_towards_higher_rank():
     g = reciprocal_graph()[0]
     lm = oriented_pairs(g).toarray()
     size = [g.neighbors(v).size for v in range(g.n)]
+    edges = set(zip(*(a.tolist() for a in g.edge_arrays())))
     for a in range(g.n):
         for z in range(g.n):
             if z in g.neighbors(a):
-                mult = int(z in g.out_neighbors(a)) + int(a in g.out_neighbors(z))
+                mult = int((a, z) in edges) + int((z, a) in edges)
                 upward = (size[a], a) < (size[z], z)
                 assert lm[a, z] == (mult if upward else 0)
             else:
